@@ -5,6 +5,9 @@ admissibility table, evaluate monodromy period obstructions, and build
 the linearized higher variational equations along homothetic orbits.
 """
 
+# Defined before the submodule imports, because report reads it.
+__version__ = "0.1.0"
+
 from .parse import ParseError, parse_potential, parse_trig_poly, print_potential
 from .potential import (HomoPoly, Potential, PotentialError, SingularPointError,
                         TrigPoly, euler_defect, jet_at, transform)
@@ -18,8 +21,6 @@ from .varequ import (VariationalSystem, VeExpr, build_higher_ve, monomial_basis,
                      sym_power_ve1, ve1_residual)
 from .polar import PolarVerdict, analyze_polar, critical_points, select_extremum
 from .report import AnalysisReport, AnalyzeOptions, analyze, batch
-
-__version__ = "0.1.0"
 
 _ORBIT_NAMES = {"OrbitParams", "Trajectory", "integrate_orbit", "integrate_ve",
                 "time_change_check"}

@@ -12,6 +12,15 @@ import json
 import re
 import sys
 
+from . import __version__, morales, polar
+from .darboux import DarbouxError, find_darboux_points, normalize
+from .monodromy import LoopSpec, g_verdict, period_closed_form, period_quadrature
+from .parse import parse_potential, parse_trig_poly
+from .potential import PotentialError, jet_at
+from .report import AnalyzeOptions, analyze, batch, report_json_text
+from .scalars import GaussianRational, parse_rational
+from .varequ import build_higher_ve
+
 
 class _RationalFriendlyParser(argparse.ArgumentParser):
     """argparse variant that treats -1/2 style tokens as values, not flags."""
@@ -20,38 +29,28 @@ class _RationalFriendlyParser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
 
-from . import morales, polar
-from .darboux import DarbouxError, find_darboux_points, normalize
-from .monodromy import LoopSpec, g_verdict, period_closed_form, period_quadrature
-from .parse import parse_potential, parse_trig_poly
-from .potential import PotentialError, jet_at
-from .report import (AnalyzeOptions, analyze, batch, report_json_text,
-                     __version__)
-from .scalars import GaussianRational, parse_rational
-from .varequ import build_higher_ve
-
 
 def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _add_table_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-denominator", type=int, default=1000,
-                   help="denominator cap for rational reconstruction of eigenvalues")
+def _add_k5_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k5-variant", choices=[morales.K5_PRINTED, morales.K5_TENJ],
                    default=morales.K5_PRINTED,
                    help="which k=5 sporadic row to use (printed table value or "
                         "the pattern-matching variant)")
 
 
+def _add_table_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-denominator", type=int, default=1000,
+                   help="denominator cap for rational reconstruction of eigenvalues")
+    _add_k5_option(p)
+
+
 def _options(args) -> AnalyzeOptions:
-    return AnalyzeOptions(
-        quad_tol=getattr(args, "quad_tol", 1e-10),
-        residual_tol=getattr(args, "residual_tol", 1e-10),
-        max_denominator=getattr(args, "max_denominator", 1000),
-        k5_variant=getattr(args, "k5_variant", morales.K5_PRINTED),
-        include_timing=getattr(args, "timing", False),
-    )
+    return AnalyzeOptions(residual_tol=args.residual_tol,
+                          max_denominator=args.max_denominator,
+                          k5_variant=args.k5_variant)
 
 
 def cmd_analyze(args) -> int:
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true", help="include wall time in output")
     p.add_argument("--residual-tol", type=float, default=1e-10)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True, help="rational, e.g. -37/11")
     p.add_argument("--json", action="store_true")
-    _add_table_options(p)
+    _add_k5_option(p)
     p.set_defaults(func=cmd_morales_check)
 
     p = sub.add_parser("monodromy-period",
@@ -316,14 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--residual-tol", type=float, default=1e-10)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("dump-table", help="print the admissibility table data")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    _add_table_options(p)
+    _add_k5_option(p)
     p.set_defaults(func=cmd_dump_table)
 
     return parser

@@ -18,6 +18,7 @@ below is an independent numerical route to the same numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,37 +30,6 @@ Q = Fraction
 
 NON_COMMUTATIVE = "non_commutative"
 COMMUTATIVE_POSSIBLE = "commutative_possible"
-
-
-# -- Lanczos gamma -------------------------------------------------------
-
-_LANCZOS_G = 7
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma for real non-pole arguments (g=7, 9 coefficients, ~1e-13 rel)."""
-    if x == int(x) and x <= 0:
-        raise ValueError(f"gamma pole at {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 # -- exact phase helpers --------------------------------------------------
@@ -121,8 +91,8 @@ def period_closed_form(alpha, j: int) -> PeriodValue:
         return PeriodValue(alpha, j, 0j, "closed_form")
     pref = 1 - _cis_pi(two_ja)
     phase = _cis_pi(alpha % 2)
-    g1 = lanczos_gamma(float(alpha + 1))
-    g2 = lanczos_gamma(float(alpha + Q(3, 2)))
+    g1 = math.gamma(float(alpha + 1))
+    g2 = math.gamma(float(alpha + Q(3, 2)))
     value = pref * phase * g1 * math.sqrt(math.pi) / g2
     return PeriodValue(alpha, j, value, "closed_form")
 
@@ -166,14 +136,9 @@ class LoopSpec:
         return out
 
 
-_GL_NODES = {}
-
-
+@functools.cache
 def _gl(n: int):
-    if n not in _GL_NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_NODES[n] = (x, w)
-    return _GL_NODES[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 class _BranchState:
@@ -302,10 +267,10 @@ def det_A_expsum(alpha, beta, j1: int, j2: int) -> complex:
         raise ValueError("exponential-sum form needs non-integer exponents")
     if gamma_pole_at(alpha) or gamma_pole_at(beta):
         return 0j
-    pref = (_cis_pi((alpha + beta) % 2) * lanczos_gamma(float(alpha + 1))
-            * math.pi * lanczos_gamma(float(beta + 1))
-            / (lanczos_gamma(float(alpha + Q(3, 2)))
-               * lanczos_gamma(float(beta + Q(3, 2)))))
+    pref = (_cis_pi((alpha + beta) % 2) * math.gamma(float(alpha + 1))
+            * math.pi * math.gamma(float(beta + 1))
+            / (math.gamma(float(alpha + Q(3, 2)))
+               * math.gamma(float(beta + Q(3, 2)))))
 
     def e(x):
         return _cis_pi((2 * x) % 2)
@@ -344,16 +309,6 @@ def commutativity_class(alpha, beta) -> CommutativityClass:
     if gamma_pole_at(beta):
         return CommutativityClass(COMMUTATIVE_POSSIBLE, REASON_POLE_BETA)
     return CommutativityClass(NON_COMMUTATIVE)
-
-
-def trig_vanishing_factor(alpha, beta) -> float:
-    """16 (cos^2 pi a - 1)(cos^2 pi b - 1)(cos^2 pi b - cos^2 pi a).
-
-    Vanishes whenever det_A(a, b, 1, -1) does (conjugate-cleared form);
-    used as a numeric cross-check of the classification.
-    """
-    ca, cb = math.cos(math.pi * float(alpha)), math.cos(math.pi * float(beta))
-    return 16 * (ca * ca - 1) * (cb * cb - 1) * (cb * cb - ca * ca)
 
 
 # -- commutativity verdict for the variational-equation integrals ------------

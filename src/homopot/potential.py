@@ -139,22 +139,23 @@ class HomoPoly:
     def jet(self, c, order: int, exact: bool) -> Jet2:
         jx = Jet2.variable(0, c[0], order, exact)
         jy = Jet2.variable(1, c[1], order, exact)
+        xpow = _jet_powers(jx, max(i for i, _ in self.terms), order, exact)
+        ypow = _jet_powers(jy, max(j for _, j in self.terms), order, exact)
         acc = Jet2.constant(0, order, exact)
-        xpow = {0: Jet2.constant(1, order, exact)}
-        ypow = {0: Jet2.constant(1, order, exact)}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
         for (i, j), v in self.terms.items():
-            term = power(xpow, jx, i) * power(ypow, jy, j)
-            acc = acc + term.scale(v)
+            acc = acc + (xpow[i] * ypow[j]).scale(v)
         return acc
 
     def __repr__(self):
         return f"HomoPoly(degree={self.degree}, terms={len(self.terms)}, exact={self.exact})"
+
+
+def _jet_powers(base: Jet2, n: int, order: int, exact: bool) -> list:
+    """[base^0, base^1, ..., base^n]."""
+    out = [Jet2.constant(1, order, exact)]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
 
 
 def _zero(exact: bool):
@@ -641,7 +642,17 @@ def potential_to_json(V: Potential) -> dict:
     return out
 
 
-def potential_from_json(obj: dict) -> Potential:
+def potential_from_json(obj) -> Potential:
+    """Inverse of potential_to_json; a malformed object raises PotentialError."""
+    try:
+        return _potential_from_json(obj)
+    except PotentialError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise PotentialError(f"malformed potential object ({type(exc).__name__}: {exc})") from exc
+
+
+def _potential_from_json(obj) -> Potential:
     kind = obj["kind"]
     k = int(obj["degree"])
     if kind == POLYNOMIAL:

@@ -18,19 +18,15 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import morales
-from .darboux import DarbouxError, DarbouxSet, find_darboux_points
+from . import __version__, morales
+from .darboux import DarbouxSet, find_darboux_points
 from .parse import parse_potential
 from .potential import Potential, potential_to_json, potential_from_json
 from .scalars import GaussianRational
-
-__version__ = "0.1.0"
 
 NON_INTEGRABLE = "non_integrable_by_morales_ramis"
 PASSES = "passes_first_order_tests"
@@ -44,11 +40,9 @@ ST_INDETERMINATE = "indeterminate"
 
 @dataclass
 class AnalyzeOptions:
-    quad_tol: float = 1e-10
     residual_tol: float = 1e-10
     max_denominator: int = 1000
     k5_variant: str = morales.K5_PRINTED
-    include_timing: bool = False
 
 
 @dataclass
@@ -173,8 +167,6 @@ def analyze(source, options: Optional[AnalyzeOptions] = None) -> AnalysisReport:
     else:
         text = str(source)
         V = parse_potential(text)
-    if V.degree in (0, 2):
-        raise DarbouxError(f"degree k={V.degree} is excluded from the analysis")
 
     dset = find_darboux_points(V, residual_tol=opts.residual_tol)
     notes = []
@@ -240,17 +232,13 @@ def _read_potential_file(path: Path) -> Potential:
 def _analyze_file(path: Path, opts: AnalyzeOptions):
     try:
         return path.name, analyze(_read_potential_file(path), opts), None
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return path.name, None, exc
 
 
-def batch(directory, options: Optional[AnalyzeOptions] = None,
-          max_workers: int = 4) -> BatchResult:
-    """Analyze every potential file in a directory.
-
-    Files run concurrently; the summary order is by filename regardless
-    of scheduling.
-    """
+def batch(directory, options: Optional[AnalyzeOptions] = None) -> BatchResult:
+    """Analyze every potential file in a directory, in filename order, one
+    after another."""
     opts = options or AnalyzeOptions()
     base = Path(directory)
     if not base.is_dir():
@@ -258,9 +246,7 @@ def batch(directory, options: Optional[AnalyzeOptions] = None,
     files = [p for p in sorted(base.iterdir(), key=lambda p: p.name)
              if not p.is_dir() and not p.name.startswith(".")]
     reports, errors, rows = [], [], []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda p: _analyze_file(p, opts), files))
-    for name, rep, exc in results:
+    for name, rep, exc in (_analyze_file(p, opts) for p in files):
         if exc is not None:
             errors.append((name, str(exc)))
             rows.append((name, "", "", "", f"error: {exc.__class__.__name__}"))

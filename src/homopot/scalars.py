@@ -14,15 +14,6 @@ from fractions import Fraction
 Q = Fraction  # short alias used heavily in table data and tests
 
 
-def is_integer(x) -> bool:
-    """True when x is an exact integer (int or integral Fraction)."""
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    return False
-
-
 def integer_nth_root(n: int, r: int):
     """Exact r-th root of a nonnegative integer, or None."""
     if n < 0:
@@ -93,9 +84,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return self.im == 0
-
-    def is_rational_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -220,11 +208,6 @@ class GaussianRational:
         return GaussianRational(x, y)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def gr(re=0, im=0) -> GaussianRational:
     """Tiny constructor used all over the tests."""
     return GaussianRational(re, im)
@@ -244,10 +227,6 @@ def scalar_is_zero(x, tol: float = 0.0) -> bool:
     return abs(x) <= tol
 
 
-def scalar_is_exact(x) -> bool:
-    return isinstance(x, (GaussianRational, int, Fraction))
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p', 'p/q' or a decimal literal into an exact Fraction."""
     text = text.strip()
@@ -255,7 +234,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))

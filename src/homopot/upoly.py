@@ -16,6 +16,7 @@ from .scalars import GaussianRational, to_complex
 
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
+CLUSTER_RADIUS = 1e-8
 
 
 class UPoly:
@@ -190,7 +191,7 @@ def _quadratic_exact(p: UPoly):
     return [(-b + sq) / two_a, (-b - sq) / two_a]
 
 
-def aberth_roots(coeffs_complex, tol: float = ABERTH_TOL):
+def aberth_roots(coeffs_complex):
     """All roots of a complex-coefficient polynomial by Aberth-Ehrlich.
 
     coeffs are low-to-high; leading coefficient must be nonzero.
@@ -234,7 +235,7 @@ def aberth_roots(coeffs_complex, tol: float = ABERTH_TOL):
             new[i] = zs[i] - step
             moved = max(moved, abs(step))
         zs = new
-        if moved < tol:
+        if moved < ABERTH_TOL:
             break
 
     # Newton polish
@@ -261,7 +262,7 @@ def _cluster(points, radius: float):
     return clusters
 
 
-def roots(p: UPoly, cluster_radius: float = 1e-8):
+def roots(p: UPoly):
     """Roots with multiplicities; exact where the ladder allows."""
     if p.is_zero():
         raise ValueError("zero polynomial has every point as a root")
@@ -286,7 +287,7 @@ def roots(p: UPoly, cluster_radius: float = 1e-8):
             return _sorted_roots(result)
     if rest.degree >= 1:
         zs = aberth_roots([to_complex(c) for c in rest.coeffs])
-        for cl in _cluster(zs, cluster_radius):
+        for cl in _cluster(zs, CLUSTER_RADIUS):
             center = sum(cl) / len(cl)
             result.append(Root(center, len(cl), False))
     return _sorted_roots(result)

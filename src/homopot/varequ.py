@@ -66,10 +66,6 @@ class Coef:
         q = Q(q)
         return Coef({key: val * q for key, val in self.terms.items()})
 
-    def mul_symbol(self, name: str) -> "Coef":
-        return Coef({(e, tuple(sorted(syms + (name,)))): val
-                     for (e, syms), val in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -81,31 +77,6 @@ class Coef:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def bind(self, phi, symbols: dict) -> complex:
-        """Evaluate at a numeric phi with numeric symbol values."""
-        acc = 0j
-        for (e, syms), val in self.terms.items():
-            term = complex(float(val)) * phi**e
-            for s in syms:
-                term *= to_complex(symbols[s])
-            acc += term
-        return acc
-
-    def substitute(self, name: str, value) -> "Coef":
-        """Replace a symbol by a rational value."""
-        value = Q(value)
-        out = Coef()
-        for (e, syms), val in self.terms.items():
-            v = val
-            remaining = []
-            for s in syms:
-                if s == name:
-                    v = v * value
-                else:
-                    remaining.append(s)
-            out = out + Coef({(e, tuple(remaining)): v})
-        return out
 
     def entries(self):
         """Deterministic (rational, phi_exp, symbols) triples."""
@@ -198,19 +169,6 @@ class VariationalSystem:
         return sorted((self.indices[s], self.indices[t])
                       for (s, t), coef in self.transitions.items()
                       if coef.involves(name))
-
-    def rhs_matrix(self, phi, symbols: Optional[dict] = None):
-        """Dense complex matrix A(phi); symbols default to the jet's values."""
-        import numpy as np
-        table = dict(self.d_values or {})
-        if symbols:
-            table.update(symbols)
-        if self.lam is not None:
-            table.setdefault(LAMBDA_SYMBOL, float(self.lam))
-        A = np.zeros((self.dim, self.dim), dtype=complex)
-        for (src, tgt), coef in self.transitions.items():
-            A[src, tgt] += coef.bind(complex(phi), table)
-        return A
 
     def to_json(self) -> dict:
         entries = []

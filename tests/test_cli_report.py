@@ -49,6 +49,11 @@ def test_analyze_multiple_nonradial_forces_non_integrable():
     assert rep.verdict == NON_INTEGRABLE
 
 
+def test_analyze_high_degree_monomial():
+    # the jet's powers of q1 must not cost one stack frame per exponent
+    assert analyze("q1^1000").verdict == PASSES
+
+
 def test_analyze_rejects_bad_degrees():
     from homopot.darboux import DarbouxError
     with pytest.raises(DarbouxError):
@@ -92,9 +97,12 @@ def test_batch_partial_failure(tmp_path):
     (tmp_path / "good.pot").write_text("q1^3")
     (tmp_path / "bad.pot").write_text("q1^2 + q2")
     (tmp_path / "worse.json").write_text("{not json")
+    (tmp_path / "list_terms.json").write_text(
+        '{"kind":"polynomial","degree":3,"terms":[]}')
+    (tmp_path / "zero_den.json").write_text('{"kind":"radial","a":"1/0","degree":3}')
     result = batch(tmp_path)
     assert result.exit_code == 1
-    assert len(result.reports) == 1 and len(result.errors) == 2
+    assert len(result.reports) == 1 and len(result.errors) == 4
     rows = {r[0]: r[4] for r in result.summary_rows}
     assert rows["good.pot"] == PASSES
     assert rows["bad.pot"].startswith("error:")
@@ -213,6 +221,10 @@ def test_cli_dump_table(capsys):
 
 
 def test_cli_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze"])  # missing the potential argument
-    assert exc.value.code == 2
+    for argv in (["analyze"],  # missing the potential argument
+                 ["analyze", "q1^3", "--quad-tol", "1e-9"],
+                 ["morales-check", "--k", "3", "--lambda", "1", "--max-denominator", "5"],
+                 ["dump-table", "--max-denominator", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

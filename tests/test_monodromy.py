@@ -10,21 +10,6 @@ import pytest
 from homopot import monodromy as M
 
 
-# -- gamma ---------------------------------------------------------------------
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 4 / 3, 11 / 6, 0.05, 7.25,
-                               -0.2, -1.7, -2.25, -5.9])
-def test_lanczos_vs_stdlib(x):
-    assert abs(M.lanczos_gamma(x) - math.gamma(x)) <= 5e-13 * abs(math.gamma(x))
-
-
-def test_lanczos_poles():
-    with pytest.raises(ValueError):
-        M.lanczos_gamma(0.0)
-    with pytest.raises(ValueError):
-        M.lanczos_gamma(-3.0)
-
-
 # -- closed form ------------------------------------------------------------------
 
 def test_half_period_by_hand():
