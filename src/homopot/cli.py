@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full Darboux + eigenvalue-table pipeline")
     p.add_argument("potential", help="potential expression, e.g. 'q1^2*q2' or 'r^-3'")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true", help="include wall time in output")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall time in the --json output")
     p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_analyze)
@@ -312,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--out", help="write the summary CSV here")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall time in the --json output")
     p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_batch)
@@ -329,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "timing", False) and not args.json:
+        parser.error(f"{args.command}: --timing requires --json")
     return args.func(args)
 
 

@@ -611,7 +611,7 @@ def _homopoly_from_json(obj) -> HomoPoly:
         if isinstance(val, complex):
             exact = False
         terms[(i, j)] = val
-    return HomoPoly(obj["degree"], terms, exact)
+    return HomoPoly(_json_degree(obj), terms, exact)
 
 
 def _trig_to_json(U: TrigPoly) -> dict:
@@ -652,9 +652,16 @@ def potential_from_json(obj) -> Potential:
         raise PotentialError(f"malformed potential object ({type(exc).__name__}: {exc})") from exc
 
 
+def _json_degree(obj) -> int:
+    k = obj["degree"]
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise PotentialError(f"degree must be a JSON integer, not {k!r}")
+    return k
+
+
 def _potential_from_json(obj) -> Potential:
     kind = obj["kind"]
-    k = int(obj["degree"])
+    k = _json_degree(obj)
     if kind == POLYNOMIAL:
         return Potential.polynomial(_homopoly_from_json({"degree": k, "terms": obj["terms"]}))
     if kind == RATIONAL:

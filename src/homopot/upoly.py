@@ -1,9 +1,12 @@
-"""Univariate polynomials over Q(i) with hybrid exact/numeric root finding.
+"""Univariate polynomials over Q(i) and their roots with multiplicities.
 
-Root extraction follows a fixed ladder: exact rational roots first
-(divisor candidates plus exact deflation), exact quadratic formula when
-the discriminant has an exact square root in Q(i), and Aberth-Ehrlich
-simultaneous iteration for whatever is left.
+``roots`` takes one path.  Yun's square-free decomposition splits p
+exactly into factors f_m whose roots have multiplicity m.  Aberth-Ehrlich
+iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
+is u/q with q dividing the leading coefficient L of f_m scaled to
+Gaussian integers, so each float root z has the one candidate
+round(L*z)/L.  The candidate becomes the exact root when f_m vanishes
+there exactly; otherwise z stays a float.
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import GaussianRational, to_complex
 
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
-CLUSTER_RADIUS = 1e-8
 
 
 class UPoly:
@@ -77,19 +80,36 @@ class UPoly:
 
     __rmul__ = __mul__
 
-    def deflate(self, root: GaussianRational) -> "UPoly":
-        """Exact synthetic division by (x - root); remainder must vanish."""
-        out = []
-        acc = GaussianRational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        if not rem.is_zero():
-            raise ValueError("deflation by a non-root")
-        out.reverse()
-        # out currently holds the Horner sequence shifted by one
-        return UPoly(out)
+    def __divmod__(self, other: "UPoly"):
+        """Exact quotient and remainder over Q(i)."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        inv = GaussianRational(1) / other.coeffs[-1]
+        quot = [GaussianRational(0)] * max(len(rem) - other.degree, 0)
+        for k in reversed(range(len(quot))):
+            c = rem[k + other.degree] * inv
+            quot[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] = rem[k + j] - c * b
+        return UPoly(quot), UPoly(rem[:other.degree])
+
+    def __floordiv__(self, other: "UPoly") -> "UPoly":
+        return divmod(self, other)[0]
+
+    def monic(self) -> "UPoly":
+        return self * (GaussianRational(1) / self.coeffs[-1])
+
+    def gcd(self, other: "UPoly") -> "UPoly":
+        """Monic greatest common divisor, by Euclid's algorithm.
+
+        Each remainder is made monic, which keeps the coefficients small.
+        """
+        a, b = self.monic(), other
+        while not b.is_zero():
+            b = b.monic()
+            a, b = b, divmod(a, b)[1]
+        return a
 
     def __repr__(self):
         return "UPoly([" + ", ".join(str(c) for c in self.coeffs) + "])"
@@ -103,92 +123,6 @@ class Root:
 
     def as_complex(self) -> complex:
         return to_complex(self.value)
-
-
-def _divisors(n: int, cap: int = 4000):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-            if len(out) > cap:
-                return None  # too many candidates, skip the exact stage
-        d += 1
-    return sorted(set(out))
-
-
-def _axis_root_candidates(p: UPoly):
-    """Candidate roots on the rational and imaginary axes.
-
-    For real coefficients this is the classical p/q list; for Gaussian
-    coefficients the norm bound N(root numerator) | N(a0) restricts
-    axis-aligned candidates the same way.  Off-axis Gaussian roots are
-    left to the quadratic formula or the numeric stage.
-    """
-    from math import lcm
-
-    real = all(c.im == 0 for c in p.coeffs)
-    den = lcm(*[lcm(c.re.denominator, c.im.denominator) for c in p.coeffs])
-    ints = [(int(c.re * den), int(c.im * den)) for c in p.coeffs]
-    lo = next(i for i, v in enumerate(ints) if v != (0, 0))
-    n0 = ints[lo][0] ** 2 + ints[lo][1] ** 2
-    nn = ints[-1][0] ** 2 + ints[-1][1] ** 2
-    if real:
-        ps, qs = _divisors(ints[lo][0]), _divisors(ints[-1][0])
-    else:
-        ps = _divisors(n0, cap=400)
-        qs = _divisors(nn, cap=400)
-    if ps is None or qs is None:
-        return []
-    cands = []
-    seen = set()
-
-    def push(g: GaussianRational):
-        key = (g.re, g.im)
-        if key not in seen:
-            seen.add(key)
-            cands.append(g)
-
-    for pp in ps:
-        for qq in qs:
-            if not real:
-                # axis candidates need pp^2 | N(a0) and qq^2 | N(an)
-                if n0 % (pp * pp) or nn % (qq * qq):
-                    continue
-            f = Fraction(pp, qq)
-            push(GaussianRational(f))
-            push(GaussianRational(-f))
-            if not real:
-                push(GaussianRational(0, f))
-                push(GaussianRational(0, -f))
-    if lo > 0:
-        push(GaussianRational(0))
-    return cands
-
-
-def _extract_exact_roots(p: UPoly):
-    """Peel off axis-aligned exact roots; returns (roots, quotient)."""
-    roots = []
-    for g in _axis_root_candidates(p):
-        while p.degree >= 1 and p(g).is_zero():
-            p = p.deflate(g)
-            roots.append(g)
-    return roots, p
-
-
-def _quadratic_exact(p: UPoly):
-    """Exact roots of a quadratic when the discriminant has a root in Q(i)."""
-    c, b, a = p.coeffs[0], p.coeffs[1], p.coeffs[2]
-    disc = b * b - GaussianRational(4) * a * c
-    sq = disc.sqrt_exact()
-    if sq is None:
-        return None
-    two_a = GaussianRational(2) * a
-    return [(-b + sq) / two_a, (-b - sq) / two_a]
 
 
 def aberth_roots(coeffs_complex):
@@ -233,7 +167,8 @@ def aberth_roots(coeffs_complex):
             denom = 1 - ratio * rep
             step = ratio / denom if denom != 0 else ratio
             new[i] = zs[i] - step
-            moved = max(moved, abs(step))
+            # relative, so that roots much smaller than 1 are resolved too
+            moved = max(moved, abs(step) / abs(new[i]) if new[i] else 1.0)
         zs = new
         if moved < ABERTH_TOL:
             break
@@ -250,46 +185,54 @@ def aberth_roots(coeffs_complex):
     return zs
 
 
-def _cluster(points, radius: float):
-    clusters = []
-    for z in points:
-        for cl in clusters:
-            if abs(z - cl[0]) < radius:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    return clusters
+def square_free_factors(p: UPoly):
+    """Yun's decomposition: [(f, m)] with p = lc(p) * prod f^m.
+
+    Each f is monic, square-free and of positive degree, and the f are
+    pairwise coprime, so every root of f has multiplicity exactly m in p.
+    """
+    dp = p.derivative()
+    a = p.gcd(dp)
+    b = p // a
+    d = dp // a - b.derivative()
+    out = []
+    m = 1
+    while b.degree > 0:
+        f = b.gcd(d)
+        if f.degree > 0:
+            out.append((f, m))
+        b = b // f
+        d = d // f - b.derivative()
+        m += 1
+    return out
+
+
+def _exact_candidate(f: UPoly, lead: int, z: complex):
+    """The one Q(i) point round(lead*z)/lead when f vanishes there exactly.
+
+    A root u/q of f in Q(i) has q | lead, so lead*z lies near a Gaussian
+    integer; the float test only spares hopeless candidates exact work.
+    """
+    w = lead * z
+    if not cmath.isfinite(w):
+        return None
+    re, im = round(w.real), round(w.imag)
+    if abs(w - complex(re, im)) > 1e-6 * max(1.0, abs(w)):
+        return None
+    cand = GaussianRational(Fraction(re, lead), Fraction(im, lead))
+    return cand if f(cand).is_zero() else None
 
 
 def roots(p: UPoly):
-    """Roots with multiplicities; exact where the ladder allows."""
+    """Roots with exact multiplicities; a root is exact when it lies in Q(i)."""
     if p.is_zero():
         raise ValueError("zero polynomial has every point as a root")
-    exact_list, rest = _extract_exact_roots(p)
-    out = {}
-    for g in exact_list:
-        key = (g.re, g.im)
-        if key in out:
-            out[key].multiplicity += 1
-        else:
-            out[key] = Root(g, 1, True)
-    result = list(out.values())
-
-    if rest.degree == 2:
-        pair = _quadratic_exact(rest)
-        if pair is not None:
-            if pair[0] == pair[1]:
-                result.append(Root(pair[0], 2, True))
-            else:
-                for g in pair:
-                    result.append(Root(g, 1, True))
-            return _sorted_roots(result)
-    if rest.degree >= 1:
-        zs = aberth_roots([to_complex(c) for c in rest.coeffs])
-        for cl in _cluster(zs, CLUSTER_RADIUS):
-            center = sum(cl) / len(cl)
-            result.append(Root(center, len(cl), False))
+    result = []
+    for f, m in square_free_factors(p):
+        lead = lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
+        for z in aberth_roots([to_complex(c) for c in f.coeffs]):
+            g = _exact_candidate(f, lead, z)
+            result.append(Root(z, m, False) if g is None else Root(g, m, True))
     return _sorted_roots(result)
 
 

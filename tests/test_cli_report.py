@@ -2,10 +2,14 @@
 surface (subcommands, JSON output, exit codes)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import homopot
 from homopot.cli import main
 from homopot.report import (analyze, batch, report_json_text,
                             NON_INTEGRABLE, PASSES, RADIAL_CANDIDATE)
@@ -54,6 +58,16 @@ def test_analyze_high_degree_monomial():
     assert analyze("q1^1000").verdict == PASSES
 
 
+@pytest.mark.parametrize("text", ["(100002 + 2*i)/(100003*q2)",
+                                  "q1^3 + 100000000000000000000*q2^3"])
+def test_analyze_finishes_in_bounded_time(text):
+    # large end coefficients must not cost a search over their divisors;
+    # a child process turns a hang into a failure instead of a stuck suite
+    env = dict(os.environ, PYTHONPATH=str(Path(homopot.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys, homopot; homopot.analyze(sys.argv[1])",
+                    text], env=env, check=True, timeout=5)
+
+
 def test_analyze_rejects_bad_degrees():
     from homopot.darboux import DarbouxError
     with pytest.raises(DarbouxError):
@@ -100,9 +114,18 @@ def test_batch_partial_failure(tmp_path):
     (tmp_path / "list_terms.json").write_text(
         '{"kind":"polynomial","degree":3,"terms":[]}')
     (tmp_path / "zero_den.json").write_text('{"kind":"radial","a":"1/0","degree":3}')
+    # a degree must be a JSON integer: no float, bool or string
+    for name, degree in (("float", "3.7"), ("bool", "true"), ("string", '"3"')):
+        (tmp_path / f"{name}_degree.json").write_text(
+            f'{{"kind":"radial","a":"1","degree":{degree}}}')
+    (tmp_path / "float_num_degree.json").write_text(
+        '{"kind":"rational","degree":-1,"num":{"degree":2.5,"terms":{}},'
+        '"den":{"degree":3,"terms":{"0,3":"1"}}}')
     result = batch(tmp_path)
     assert result.exit_code == 1
-    assert len(result.reports) == 1 and len(result.errors) == 4
+    assert len(result.reports) == 1 and len(result.errors) == 8
+    assert all("degree must be a JSON integer" in msg
+               for name, msg in result.errors if "_degree" in name)
     rows = {r[0]: r[4] for r in result.summary_rows}
     assert rows["good.pot"] == PASSES
     assert rows["bad.pot"].startswith("error:")
@@ -224,7 +247,9 @@ def test_cli_usage_error_exit_code(capsys):
     for argv in (["analyze"],  # missing the potential argument
                  ["analyze", "q1^3", "--quad-tol", "1e-9"],
                  ["morales-check", "--k", "3", "--lambda", "1", "--max-denominator", "5"],
-                 ["dump-table", "--max-denominator", "5"]):
+                 ["dump-table", "--max-denominator", "5"],
+                 ["analyze", "q1^3", "--timing"],  # --timing needs --json
+                 ["batch", str(DATA / "corpus"), "--timing"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -10,6 +10,7 @@ from homopot.darboux import (DarbouxError, classify, direction_polynomial,
                              find_darboux_points, normalize)
 from homopot.parse import parse_potential
 from homopot.potential import Potential, jet_at, transform
+from homopot.report import NON_INTEGRABLE, analyze
 from homopot.scalars import gr, to_complex
 
 from conftest import planted_potential
@@ -254,3 +255,17 @@ def test_sorted_deterministic(rng):
     a = [tuple(map(to_complex, p.c)) for p in find_darboux_points(V).points]
     b = [tuple(map(to_complex, p.c)) for p in find_darboux_points(V).points]
     assert a == b
+
+
+def test_irrational_double_direction_is_one_point():
+    # W has the factor (s^2 - 2)^2: (1, +-sqrt 2) are double directions
+    text = "4*q1^5 + 20*q1^4*q2 + 20*q1^2*q2^3 + 5*q1*q2^4 + 9*q2^5"
+    ds = find_darboux_points(parse_potential(text))
+    assert len(ds.points) == 3
+    doubles = [p for p in ds.points if p.direction_multiplicity == 2]
+    slopes = sorted((to_complex(p.c[1]) / to_complex(p.c[0])).real for p in doubles)
+    assert len(slopes) == 2
+    assert abs(slopes[0] + 2 ** 0.5) < 1e-12 and abs(slopes[1] - 2 ** 0.5) < 1e-12
+    assert all(p.multiple for p in doubles)
+    rep = analyze(text)
+    assert rep.n_multiple == 2 and rep.verdict == NON_INTEGRABLE

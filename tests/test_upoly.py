@@ -1,0 +1,90 @@
+"""Roots of Q(i) polynomials: exact multiplicities from the square-free
+decomposition, exact roots wherever they lie in Q(i), floats elsewhere."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from homopot.scalars import gr
+from homopot.upoly import UPoly, roots
+
+
+def s_minus(g) -> UPoly:
+    return UPoly([-g, gr(1)])
+
+
+def power(p: UPoly, n: int) -> UPoly:
+    out = UPoly([gr(1)])
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def float_roots(rs):
+    return sorted((r for r in rs if not r.exact), key=lambda r: (r.as_complex().real,
+                                                                  r.as_complex().imag))
+
+
+def test_irrational_double_roots_and_exact_triple():
+    # (s^2 - 2)^2 (3s - 1)^3
+    p = power(UPoly([gr(-2), gr(0), gr(1)]), 2) * power(UPoly([gr(-1), gr(3)]), 3)
+    rs = roots(p)
+    assert len(rs) == 3
+    exact = [r for r in rs if r.exact]
+    assert [(r.value, r.multiplicity) for r in exact] == [(gr(Fraction(1, 3)), 3)]
+    lo, hi = float_roots(rs)
+    assert abs(lo.as_complex() + math.sqrt(2)) < 1e-12 and lo.multiplicity == 2
+    assert abs(hi.as_complex() - math.sqrt(2)) < 1e-12 and hi.multiplicity == 2
+
+
+def test_complex_triple_roots_are_not_split():
+    rs = roots(power(UPoly([gr(1), gr(1), gr(1)]), 3))  # (s^2 + s + 1)^3
+    assert len(rs) == 2
+    for r in rs:
+        assert not r.exact and r.multiplicity == 3
+        z = r.as_complex()
+        assert abs(z * z + z + 1) < 1e-12
+
+
+def test_off_axis_gaussian_root_is_exact():
+    g = gr(Fraction(1, 2), Fraction(1, 2))
+    p = power(s_minus(g), 2) * UPoly([gr(-3), gr(0), gr(1)])  # (s - (1+i)/2)^2 (s^2 - 3)
+    rs = roots(p)
+    assert [(r.value, r.multiplicity) for r in rs if r.exact] == [(g, 2)]
+    assert [r.multiplicity for r in float_roots(rs)] == [1, 1]
+    assert all(abs(abs(r.as_complex()) - math.sqrt(3)) < 1e-12 for r in float_roots(rs))
+
+
+def test_large_rational_root_beside_a_fourfold_pair():
+    # (7s - 10^6)(s^2 - 5)^4
+    p = UPoly([gr(-10**6), gr(7)]) * power(UPoly([gr(-5), gr(0), gr(1)]), 4)
+    rs = roots(p)
+    assert [(r.value, r.multiplicity) for r in rs if r.exact] == [(gr(Fraction(10**6, 7)), 1)]
+    lo, hi = float_roots(rs)
+    assert lo.multiplicity == hi.multiplicity == 4
+    assert abs(hi.as_complex() - math.sqrt(5)) < 1e-12
+    assert abs(lo.as_complex() + math.sqrt(5)) < 1e-12
+
+
+def test_constant_has_no_roots():
+    assert roots(UPoly([gr(3)])) == []
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+gaussian_roots = st.builds(gr, small, small)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(gaussian_roots, st.integers(1, 3)), min_size=1, max_size=4))
+def test_product_of_linear_factors(factors):
+    p = UPoly([gr(1)])
+    expected = Counter()
+    for r, m in factors:
+        p = p * power(s_minus(r), m)
+        expected[r] += m
+    rs = roots(p)
+    assert all(r.exact for r in rs)
+    assert Counter({r.value: r.multiplicity for r in rs}) == expected
+    assert len(rs) == len(expected)
