@@ -1,11 +1,16 @@
 """Darboux points: location, classification, and normalization.
 
 A Darboux point of a degree-k potential V solves grad V(c) = k c.  The
-solver projectivizes first (roots of the direction polynomial W), then
-recovers the radial scaling gamma^(k-2) = k / d1V(1,s) on the principal
-branch.  Classification uses the Hessian spectrum {k(k-1), lambda}; a
-point is multiple exactly when lambda = k, equivalently when
-det(Hess - k I) vanishes, equivalently when the Jacobian of
+solver projectivizes first: the Darboux directions d are the roots
+(1, s) of the direction polynomial W, and (0, 1) when grad V(0, 1) is
+a multiple of it.  Each direction is classified from one jet at d: with
+grad V(d) = mu d and rho = k/mu, the point is c = gamma d with
+gamma^(k-2) = rho on the principal branch, and Hess V(c) = rho Hess V(d).
+So the Hessian spectrum {k(k-1), lambda} and the multiple-point test
+come from d alone, and are exact whenever d is, even when gamma (and so
+c) is irrational; floats enter only for irrational directions and the
+polar kind.  A point is multiple exactly when lambda = k, equivalently
+when det(Hess - k I) vanishes, equivalently when the Jacobian of
 q -> grad V(q) - kq drops rank.
 """
 
@@ -16,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .potential import (Potential, PotentialError, jet_at, transform,
-                        rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
+from .potential import (Potential, PotentialError, SingularPointError, jet_at,
+                        transform, rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
 from .scalars import GaussianRational, rational_nth_root, scalar_is_zero, to_complex
 from .upoly import UPoly, roots
 
@@ -117,96 +122,105 @@ def _grad_component_numer(num, den, axis) -> UPoly:
     return a - b
 
 
-def _gradient_on_line(V: Potential, s):
-    """grad V at the point (1, s); exact when s is exact."""
-    return jet_at(V, (GaussianRational(1), s) if isinstance(s, GaussianRational) else (1.0 + 0j, s), 0).gradient()
-
-
 def _principal_scaling(rho, m: int):
     """gamma with gamma^m = rho, principal branch; exact when possible.
 
     Other branches give rotation-equivalent Darboux points and are not
-    enumerated.  A negative real rho keeps the principal (complex) root.
+    enumerated.  A negative real rho keeps the principal (complex) root,
+    also when its float imaginary part is -0.0.
     """
     if m == 0:
         raise DarbouxError("degree k=2 has no radial scaling")
     if isinstance(rho, GaussianRational):
         if m in (1, -1):
-            return (rho if m == 1 else GaussianRational(1) / rho), True
+            return rho if m == 1 else GaussianRational(1) / rho
         if m in (2, -2):
             base = rho if m == 2 else GaussianRational(1) / rho
             sq = base.sqrt_exact()  # the exact branch agrees with the principal root
             if sq is not None:
-                return sq, True
+                return sq
         if rho.is_real() and rho.re > 0:
             base = rho.re if m > 0 else Fraction(1) / rho.re
             ex = rational_nth_root(base, abs(m))
             if ex is not None:
-                return GaussianRational(ex), True
-    z = to_complex(rho)
+                return GaussianRational(ex)
+    z = to_complex(rho) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
     if z == 0:
         raise DarbouxError("zero scaling candidate")
-    return cmath.exp(cmath.log(z) / m), False
+    return cmath.exp(cmath.log(z) / m)
+
+
+DEGENERATE = "degenerate"
+
+
+def _classify_direction(V: Potential, d, multiplicity: int = 1,
+                        residual_tol: float = RESIDUAL_TOL, on_point: bool = False):
+    """The Darboux point on the direction d, classified from one jet at d.
+
+    With grad V(d) = mu d and rho = k/mu, the point is c = gamma d with
+    gamma^(k-2) = rho, and Hess V(c) = rho Hess V(d).  So lambda and the
+    multiple-point test are exact whenever d is; gamma only places c.
+    With on_point, d is the point itself: mu must be k, and gamma = 1.
+
+    Returns DEGENERATE when |mu| <= 1e-12 (no finite point on d), and
+    None when d is exact and grad V(d) is not a multiple of d.
+    """
+    k = V.degree
+    jet = jet_at(V, d, 1)
+    exact = jet.exact
+    d0, d1 = jet.base_point
+    g1, g2 = jet.gradient()
+    if on_point:
+        mu = GaussianRational(k)  # rho = gamma = 1
+    else:
+        mu = g2 / d1 if scalar_is_zero(d0) else g1 / d0  # d is (1, s) or (0, 1)
+    r1, r2 = g1 - mu * d0, g2 - mu * d1  # grad V(c) - kc = gamma^(k-1) (r1, r2)
+    if exact and not (r1.is_zero() and r2.is_zero()):
+        return None
+    if scalar_is_zero(mu, 1e-12):
+        return DEGENERATE
+    rho = k / mu
+    gamma = _principal_scaling(rho, k - 2)
+    c = (gamma * d0, gamma * d1)
+    if exact:
+        residual = 0.0
+    else:
+        residual = abs(to_complex(gamma)) ** (k - 1) * max(abs(r1), abs(r2))
+        scale = max(1.0, abs(k) * max(abs(to_complex(c[0])), abs(to_complex(c[1]))))
+        if residual > residual_tol * scale:
+            raise DarbouxError(f"{c} is not a Darboux point (residual {residual:.2e})")
+
+    (h11, h12), (_, h22) = jet.hessian()
+    h11, h12, h22 = rho * h11, rho * h12, rho * h22
+    kk1 = k * (k - 1)
+    lam = h11 + h22 - kk1  # trace minus the forced eigenvalue
+    det = (h11 - k) * (h22 - k) - h12 * h12
+    if exact:
+        multiple = det.is_zero()
+        lam_cap = lam.re if lam.is_real() else float("-inf")
+    else:
+        scale = max(1.0, abs(h11), abs(h12), abs(h22)) ** 2
+        multiple = abs(det) < MULTIPLE_DET_TOL * scale
+        lam_real = abs(lam.imag) < 1e-9 * max(1.0, abs(lam))
+        lam_cap = lam.real if lam_real else float("-inf")
+
+    iso = scalar_is_zero(d0 * d0 + d1 * d1, 1e-10)
+    return DarbouxPoint(
+        c=c, spectrum=(GaussianRational(kk1) if exact else complex(kk1), lam),
+        # spectrum {k(k-1), k(k-1)} (k != 2) at an isotropic point: never multiple
+        multiple=multiple and not iso, isotropic=iso,
+        direction_multiplicity=multiplicity, lambda_cap=lam_cap,
+        exact=all(isinstance(t, GaussianRational) for t in c), residual=residual)
 
 
 def classify(V: Potential, c, direction_multiplicity: int = 1,
              residual_tol: float = RESIDUAL_TOL) -> DarbouxPoint:
     """Hessian spectrum and multiplicity flags at a (verified) Darboux point."""
-    k = V.degree
     _check_analysis_degree(V)
-    jet = jet_at(V, c, 1)
-    g1, g2 = jet.gradient()
-    exact = jet.exact
-
-    if exact:
-        c0 = c[0] if isinstance(c[0], GaussianRational) else GaussianRational.coerce(c[0])
-        c1 = c[1] if isinstance(c[1], GaussianRational) else GaussianRational.coerce(c[1])
-        r1 = g1 - c0 * k
-        r2 = g2 - c1 * k
-        residual = 0.0
-        if not (r1.is_zero() and r2.is_zero()):
-            raise DarbouxError(f"{c} is not a Darboux point: grad V - kc = ({r1}, {r2})")
-        iso = (c0 * c0 + c1 * c1).is_zero()
-    else:
-        c0, c1 = to_complex(c[0]), to_complex(c[1])
-        scale = max(1.0, abs(k) * max(abs(c0), abs(c1)))
-        residual = max(abs(to_complex(g1) - k * c0), abs(to_complex(g2) - k * c1))
-        if residual > residual_tol * scale:
-            raise DarbouxError(f"{c} is not a Darboux point (residual {residual:.2e})")
-        iso = abs(c0 * c0 + c1 * c1) < 1e-10
-
-    (h11, h12), (_, h22) = jet.hessian()
-    kk1 = k * (k - 1)
-    lam = h11 + h22 - kk1  # trace minus the forced eigenvalue
-
-    if exact:
-        det = (h11 - GaussianRational(k)) * (h22 - GaussianRational(k)) - h12 * h12
-        multiple = det.is_zero()
-        lam_real = lam.is_real()
-        lam_cap = lam.re if lam_real else float("-inf")
-    else:
-        h11c, h12c, h22c = to_complex(h11), to_complex(h12), to_complex(h22)
-        det = (h11c - k) * (h22c - k) - h12c * h12c
-        scale = max(1.0, abs(h11c), abs(h12c), abs(h22c)) ** 2
-        multiple = abs(det) < MULTIPLE_DET_TOL * scale
-        lamc = to_complex(lam)
-        lam_real = abs(lamc.imag) < 1e-9 * max(1.0, abs(lamc))
-        lam_cap = lamc.real if lam_real else float("-inf")
-
-    if iso:
-        multiple = False  # spectrum {k(k-1), k(k-1)} (k != 2): never multiple
-    return DarbouxPoint(
-        c=tuple(c), spectrum=(GaussianRational(kk1) if exact else complex(kk1), lam),
-        multiple=multiple, isotropic=iso,
-        direction_multiplicity=direction_multiplicity,
-        lambda_cap=lam_cap, exact=exact, residual=residual)
-
-
-def _radial_representative(V: Potential) -> DarbouxPoint:
-    # a * gamma^(k-2) = 1 picks the circle radius of the Darboux continuum
-    rho = GaussianRational(1) / V.a
-    gamma, exact = _principal_scaling(rho, V.degree - 2)
-    return classify(V, (gamma, GaussianRational(0) if exact else 0j))
+    p = _classify_direction(V, c, direction_multiplicity, residual_tol, on_point=True)
+    if p is None:
+        raise DarbouxError(f"{c} is not a Darboux point: grad V(c) != kc")
+    return p
 
 
 def _is_radial_polynomial(V: Potential):
@@ -227,10 +241,11 @@ def _is_radial_polynomial(V: Potential):
 def find_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> DarbouxSet:
     """All Darboux points of V (one representative for radial continuums)."""
     _check_analysis_degree(V)
-    k = V.degree
-
+    one = GaussianRational(1)
     if V.kind == RADIAL:
-        return DarbouxSet(points=[_radial_representative(V)], continuum=True)
+        # a * gamma^(k-2) = 1 picks the circle radius of the Darboux continuum
+        point = _classify_direction(V, (one, GaussianRational(0)))
+        return DarbouxSet(points=[point], continuum=True)
     if V.kind == POLAR:
         return _polar_darboux_points(V, residual_tol)
 
@@ -238,58 +253,32 @@ def find_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> Dar
     if W.is_zero():
         a = _is_radial_polynomial(V)
         if a is not None:
-            return find_darboux_points(Potential.radial(a, k))
+            return find_darboux_points(Potential.radial(a, V.degree))
         raise DarbouxError(
             "every direction solves the direction equation but the potential "
             "is not radial: degenerate input")
 
     points = []
     degenerate = []
-    for root in roots(W):
-        s = root.value
-        exact = root.exact
-        one = GaussianRational(1) if exact else 1.0 + 0j
-        try:
-            g1, _ = _gradient_on_line(V, s)
-        except PotentialError:
-            continue  # W-root on the denominator's zero set: not a direction
-        if scalar_is_zero(g1, 1e-12):
-            degenerate.append((one, s))
-            continue
-        rho = (GaussianRational(k) / g1) if exact and isinstance(g1, GaussianRational) else k / to_complex(g1)
-        gamma, gamma_exact = _principal_scaling(rho, k - 2)
-        if exact and not gamma_exact:
-            s = to_complex(s)
-            one = 1.0 + 0j
-        c = (gamma * one, gamma * s)
-        points.append(classify(V, c, direction_multiplicity=root.multiplicity,
-                                residual_tol=residual_tol))
-
-    # the direction (0,1) escapes the (1,s) chart and is tested separately
-    vert = _vertical_direction_point(V)
-    if vert == "degenerate":
-        degenerate.append((GaussianRational(0), GaussianRational(1)))
-    elif vert is not None:
-        points.append(vert)
+    try:
+        directions = [((one if r.exact else 1.0 + 0j, r.value), r.multiplicity)
+                      for r in roots(W)]
+        # the direction (0, 1) escapes the (1, s) chart: one more candidate
+        directions.append(((GaussianRational(0), one), 1))
+        for d, m in directions:
+            try:
+                p = _classify_direction(V, d, m, residual_tol)
+            except SingularPointError:
+                continue  # on the denominator's zero set: not a direction
+            if p is DEGENERATE:
+                degenerate.append(d)
+            elif p is not None:
+                points.append(p)
+    except OverflowError as exc:
+        raise DarbouxError(f"a Darboux direction is beyond double precision: {exc}") from exc
 
     points.sort(key=_point_sort_key)
     return DarbouxSet(points=points, continuum=False, degenerate_directions=degenerate)
-
-
-def _vertical_direction_point(V: Potential):
-    try:
-        g1, g2 = jet_at(V, (GaussianRational(0), GaussianRational(1)), 0).gradient()
-    except PotentialError:
-        return None  # singular along the vertical axis (rational kinds)
-    if not scalar_is_zero(g1, 1e-13):
-        return None  # (0,1) is not a Darboux direction
-    if scalar_is_zero(g2, 1e-13):
-        return "degenerate"
-    k = V.degree
-    rho = GaussianRational(k) / g2 if isinstance(g2, GaussianRational) else k / to_complex(g2)
-    gamma, exact = _principal_scaling(rho, k - 2)
-    zero = GaussianRational(0) if exact else 0j
-    return classify(V, (zero, gamma))
 
 
 def _polar_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> DarbouxSet:

@@ -6,7 +6,10 @@ iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
 is u/q with q dividing the leading coefficient L of f_m scaled to
 Gaussian integers, so each float root z has the one candidate
 round(L*z)/L.  The candidate becomes the exact root when f_m vanishes
-there exactly; otherwise z stays a float.
+there exactly; otherwise z stays a float.  Aberth runs on f_m(2^e t)
+scaled to roots of modulus about 1, so coefficients far beyond double
+precision do not overflow it, and a root of a real f_m with no
+conjugate partner among the other roots is returned real.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, ldexp
 
 from .scalars import GaussianRational, to_complex
 
@@ -207,19 +210,55 @@ def square_free_factors(p: UPoly):
     return out
 
 
+def _log2(c: GaussianRational) -> int:
+    """About log2 |c| (within 2), from the exact bit lengths of c != 0."""
+    return max(x.numerator.bit_length() - x.denominator.bit_length()
+               for x in (c.re, c.im) if x)
+
+
+def _scaled_aberth_roots(f: UPoly):
+    """Roots of the monic f by Aberth on g(t) = f(2^e t) / 2^(e n).
+
+    2^e is Fujiwara's root bound to within a small factor, so g has
+    coefficients and roots of modulus at most a few units, whatever the
+    size of f's coefficients.  The roots are scaled back exactly; one
+    beyond double precision raises OverflowError.
+    """
+    n = f.degree
+    e = max((-(-_log2(c) // (n - j)) for j, c in enumerate(f.coeffs[:-1]) if c), default=0)
+    two = Fraction(2)
+    g = [c * two ** (e * (j - n)) for j, c in enumerate(f.coeffs)]
+    return [complex(ldexp(t.real, e), ldexp(t.imag, e))
+            for t in aberth_roots([to_complex(c) for c in g])]
+
+
+def _conjugate_pairs(zs):
+    """Roots of a real polynomial: a root with no conjugate partner among
+    the others is real, so its rounding residue is dropped."""
+    out = []
+    for i, z in enumerate(zs):
+        nearest = min(range(len(zs)), key=lambda j: abs(zs[j] - z.conjugate()))
+        out.append(complex(z.real, 0.0) if nearest == i else z)
+    return out
+
+
 def _exact_candidate(f: UPoly, lead: int, z: complex):
     """The one Q(i) point round(lead*z)/lead when f vanishes there exactly.
 
     A root u/q of f in Q(i) has q | lead, so lead*z lies near a Gaussian
-    integer; the float test only spares hopeless candidates exact work.
+    integer; the test on lead*z, in integers so that no lead overflows,
+    only spares hopeless candidates exact work.
     """
-    w = lead * z
-    if not cmath.isfinite(w):
+    if not cmath.isfinite(z):
         return None
-    re, im = round(w.real), round(w.imag)
-    if abs(w - complex(re, im)) > 1e-6 * max(1.0, abs(w)):
+    (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    m = max(p, q)  # p and q are powers of two: lead*z = (a + b i) / m
+    a, b = a * (m // p) * lead, b * (m // q) * lead
+    near_re, near_im = (2 * a + m) // (2 * m), (2 * b + m) // (2 * m)
+    dr, di = a - near_re * m, b - near_im * m
+    if 10**12 * (dr * dr + di * di) > max(m * m, a * a + b * b):
         return None
-    cand = GaussianRational(Fraction(re, lead), Fraction(im, lead))
+    cand = GaussianRational(Fraction(near_re, lead), Fraction(near_im, lead))
     return cand if f(cand).is_zero() else None
 
 
@@ -230,7 +269,10 @@ def roots(p: UPoly):
     result = []
     for f, m in square_free_factors(p):
         lead = lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
-        for z in aberth_roots([to_complex(c) for c in f.coeffs]):
+        zs = _scaled_aberth_roots(f)
+        if all(c.is_real() for c in f.coeffs):
+            zs = _conjugate_pairs(zs)
+        for z in zs:
             g = _exact_candidate(f, lead, z)
             result.append(Root(z, m, False) if g is None else Root(g, m, True))
     return _sorted_roots(result)

@@ -58,14 +58,52 @@ def test_analyze_high_degree_monomial():
     assert analyze("q1^1000").verdict == PASSES
 
 
-@pytest.mark.parametrize("text", ["(100002 + 2*i)/(100003*q2)",
-                                  "q1^3 + 100000000000000000000*q2^3"])
-def test_analyze_finishes_in_bounded_time(text):
+CHILD_ANALYZE = """
+import sys, homopot
+try:
+    print(homopot.analyze(sys.argv[1]).n_points)
+except homopot.PotentialError as exc:
+    print(type(exc).__name__)
+"""
+
+def _case(text, outcome, name=None):
+    return pytest.param(text, outcome, id=name or text)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    _case("(100002 + 2*i)/(100003*q2)", "1"),
+    _case("q1^3 + 100000000000000000000*q2^3", "3"),
+    # coefficients beyond double precision: points, or a typed error
+    _case(f"q1^3 + {10**200}*q2^3 + q1^2*q2", "3", "q1^3 + 10^200*q2^3 + q1^2*q2"),
+    _case(f"q1^3 + {10**400}*q2^3 + q1^2*q2", "DarbouxError", "q1^3 + 10^400*q2^3 + q1^2*q2"),
+])
+def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
     # a child process turns a hang into a failure instead of a stuck suite
     env = dict(os.environ, PYTHONPATH=str(Path(homopot.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", "import sys, homopot; homopot.analyze(sys.argv[1])",
-                    text], env=env, check=True, timeout=5)
+    proc = subprocess.run([sys.executable, "-c", CHILD_ANALYZE, text], env=env,
+                          check=True, timeout=5, capture_output=True, text=True)
+    assert proc.stdout.strip() == outcome
+
+
+@pytest.mark.parametrize("text, lam", [
+    ("q1^2*q2^2 + 2*q2^4", "1"),
+    ("q1^2*q2^3 + 100000000000*q2^5", "1/50000000000"),
+    ("123456789*q1^5 + 987654321*q2^5 + 7*q1^2*q2^3", "14/987654321"),
+])
+def test_exact_lambda_where_the_point_is_irrational(capsys, text, lam):
+    # the direction (0, 1) is exact, the point on it is not: lambda is
+    # decided exactly, never reconstructed from a float
+    code, out, _ = run_cli(capsys, "analyze", text, "--json")
+    assert code == 0
+    js = json.loads(out)
+    assert js["verdict"] == NON_INTEGRABLE
+    on_axis = [pv for p, pv in zip(js["darboux"]["points"], js["points"])
+               if p["c"][0] == 0.0]
+    assert len(on_axis) == 1
+    assert on_axis[0]["lambda"] == lam and on_axis[0]["lambda_exact"]
+    assert on_axis[0]["reason"] == "exact rational eigenvalue"
+    assert on_axis[0]["status"] == "inadmissible"
 
 
 def test_analyze_rejects_bad_degrees():

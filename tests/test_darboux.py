@@ -1,6 +1,7 @@
 """Darboux point location, the three equivalent multiplicity tests, and
 normalization."""
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -269,3 +270,33 @@ def test_irrational_double_direction_is_one_point():
     assert all(p.multiple for p in doubles)
     rep = analyze(text)
     assert rep.n_multiple == 2 and rep.verdict == NON_INTEGRABLE
+
+
+@pytest.mark.parametrize("text, lam", [
+    ("q1^2*q2^2 + 2*q2^4", Fraction(1)),
+    ("q1^2*q2^3 + 100000000000*q2^5", Fraction(1, 50000000000)),
+    ("123456789*q1^5 + 987654321*q2^5 + 7*q1^2*q2^3", Fraction(14, 987654321)),
+])
+def test_exact_direction_with_irrational_scaling(text, lam):
+    # on (0, 1), gamma^(k-2) = k / dV/dq2(0, 1) has no rational root, so the
+    # point c is a float; lambda still comes exactly from the direction
+    V = parse_potential(text)
+    k = V.degree
+    p = next(p for p in find_darboux_points(V).points if to_complex(p.c[0]) == 0)
+    assert not p.exact
+    assert p.spectrum == (gr(k * (k - 1)), gr(lam))
+    assert p.lambda_cap == lam and not p.multiple and not p.isotropic
+    assert p.residual == 0.0
+    g1, g2 = V.gradient(p.c)
+    c1 = to_complex(p.c[1])
+    assert abs(g1) < 1e-12 and abs(g2 - k * c1) < 1e-12 * abs(k * c1)
+
+
+def test_negative_scaling_takes_the_principal_root():
+    # rho = k / dV/dq1(1, s) < 0 on each real direction, gamma^3 = rho: the
+    # principal root has arg pi/3 whether (1, s) is exact (s = 0) or a float
+    ds = find_darboux_points(parse_potential("-q1^5 + q1^3*q2^2 - 3*q1*q2^4"))
+    assert len(ds.points) == 5 and sum(p.c[1] == 0 for p in ds.points) == 1
+    for p in ds.points:
+        gamma = to_complex(p.c[0])
+        assert abs(cmath.phase(gamma) - cmath.pi / 3) < 1e-12

@@ -72,6 +72,30 @@ def test_constant_has_no_roots():
     assert roots(UPoly([gr(3)])) == []
 
 
+def test_real_roots_of_a_real_factor_are_real():
+    # (s^2 - 2)(s^2 + 1), and (s^2 - 2)(3s^2 + 1)(3s^2 - 7s + 1) with two
+    # non-real roots that are floats: no rounding residue on the real ones
+    p = UPoly([gr(-2), gr(0), gr(1)]) * UPoly([gr(1), gr(0), gr(1)])
+    rs = roots(p)
+    assert sorted(r.value.im for r in rs if r.exact) == [-1, 1]
+    assert [r.value.imag for r in float_roots(rs)] == [0.0, 0.0]
+    rs = roots(UPoly([gr(-2), gr(0), gr(1)]) * UPoly([gr(1), gr(0), gr(3)])
+               * UPoly([gr(1), gr(-7), gr(3)]))
+    imags = sorted(abs(r.value.imag) for r in rs)
+    assert imags[:4] == [0.0] * 4 and all(abs(y - 3 ** -0.5) < 1e-12 for y in imags[4:])
+
+
+def test_coefficients_beyond_double_precision():
+    # Aberth runs on a rescaled copy: no overflow to inf or nan
+    for e in (200, 400):
+        rs = roots(UPoly([gr(10**e), gr(0), gr(1)]))     # s^2 + 10^e
+        assert [r.exact for r in rs] == [False, False]
+        for r, sign in zip(rs, (-1, 1)):
+            assert abs(r.value - complex(0, sign * 10.0**(e // 2))) < 1e-12 * 10.0**(e // 2)
+    rs = roots(UPoly([gr(-1), gr(3), gr(2 - 3 * 10**400)]))  # roots near +-i 10^-200 / sqrt 3
+    assert all(abs(abs(r.as_complex()) * 10**200 - 3 ** -0.5) < 1e-12 for r in rs)
+
+
 small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 gaussian_roots = st.builds(gr, small, small)
 
