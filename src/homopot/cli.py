@@ -48,8 +48,7 @@ def _add_table_options(p: argparse.ArgumentParser) -> None:
 
 
 def _options(args) -> AnalyzeOptions:
-    return AnalyzeOptions(residual_tol=args.residual_tol,
-                          max_denominator=args.max_denominator,
+    return AnalyzeOptions(max_denominator=args.max_denominator,
                           k5_variant=args.k5_variant)
 
 
@@ -90,7 +89,7 @@ def cmd_polar_analyze(args) -> int:
 def cmd_darboux(args) -> int:
     try:
         V = parse_potential(args.potential)
-        dset = find_darboux_points(V, residual_tol=args.residual_tol)
+        dset = find_darboux_points(V)
     except (PotentialError, DarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the --json output")
-    p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("darboux", help="locate and classify Darboux points")
     p.add_argument("potential")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--residual-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_darboux)
 
     p = sub.add_parser("morales-check", help="exact table membership of (k, lambda)")
@@ -315,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the --json output")
-    p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_table_options(p)
     p.set_defaults(func=cmd_batch)
 

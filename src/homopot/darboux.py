@@ -1,17 +1,22 @@
 """Darboux points: location, classification, and normalization.
 
-A Darboux point of a degree-k potential V solves grad V(c) = k c.  The
-solver projectivizes first: the Darboux directions d are the roots
-(1, s) of the direction polynomial W, and (0, 1) when grad V(0, 1) is
-a multiple of it.  Each direction is classified from one jet at d: with
-grad V(d) = mu d and rho = k/mu, the point is c = gamma d with
-gamma^(k-2) = rho on the principal branch, and Hess V(c) = rho Hess V(d).
-So the Hessian spectrum {k(k-1), lambda} and the multiple-point test
-come from d alone, and are exact whenever d is, even when gamma (and so
-c) is irrational; floats enter only for irrational directions and the
-polar kind.  A point is multiple exactly when lambda = k, equivalently
-when det(Hess - k I) vanishes, equivalently when the Jacobian of
-q -> grad V(q) - kq drops rank.
+A Darboux point of a degree-k potential V solves grad V(c) = k c.  On
+the line (1, s), grad V = (g1, g2)/Q(1, s)^2 for V = P/Q (Q = 1 for a
+polynomial), so the Darboux directions are the roots of the direction
+polynomial W = s g1 - g2, with exact multiplicities m.  Each one is
+classified from W alone: grad V(1, s) = mu (1, s) with
+mu = g1(s)/Q(1, s)^2, the point is c = gamma (1, s) with
+gamma^(k-2) = k/mu (principal branch), and the Hessian at c has the
+spectrum {k(k-1), lambda} with lambda = k - k W'(s)/g1(s), because
+Hess V(1, s) has the eigenvalue mu (1 - W'(s)/g1(s)) on (-s, 1).  So the
+point is multiple (lambda = k) exactly when m >= 2, unless s^2 = -1
+(isotropic).  The direction (0, 1) is the root t = 0 of -t^n W(1/t),
+n = deg P + deg Q, of multiplicity n - deg W, with
+lambda = k + k W_(n-1)/(g2)_(n-1).  lambda and the multiple test are
+exact whenever s is, even when gamma (and so c) is irrational; floats
+enter only for irrational directions and the polar kind, which
+`classify` handles from the jet at a point.  W == 0 means V is
+rotation-invariant.
 """
 
 from __future__ import annotations
@@ -19,15 +24,18 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
-from .potential import (Potential, PotentialError, SingularPointError, jet_at,
-                        transform, rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
+from .potential import (HomoPoly, Potential, PotentialError, jet_at, transform,
+                        rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
 from .scalars import GaussianRational, rational_nth_root, scalar_is_zero, to_complex
 from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
-MULTIPLE_DET_TOL = 1e-9
+MULTIPLE_DET_TOL = 1e-9  # float c in `classify` only
+_S = UPoly([0, 1])
+_UNIT = HomoPoly(0, {(0, 0): 1})  # the denominator of a polynomial
 
 
 class DarbouxError(PotentialError):
@@ -98,42 +106,48 @@ def _check_analysis_degree(V: Potential):
         raise DarbouxError(f"degree k={V.degree} is excluded from the analysis")
 
 
-def direction_polynomial(V: Potential) -> UPoly:
-    """W(s) = numerator of s*d1V(1,s) - d2V(1,s); roots are directions (1,s)."""
+def _line_numerators(V: Potential):
+    """(g1, g2, q, e): grad V(1, s) = (g1(s), g2(s)) / q(s)^2.
+
+    For V = P/Q, q = Q(1, s), e = deg Q and g_a = (P_a Q - P Q_a)(1, s);
+    a polynomial is P/1.  Before the restriction to (1, s), g1 and g2 are
+    homogeneous of degree n - 1 with n = k + 2e.
+    """
     if V.kind not in (POLYNOMIAL, RATIONAL):
         raise DarbouxError("direction polynomial requires a polynomial or rational potential")
     _check_analysis_degree(V)
-    if V.kind == POLYNOMIAL:
-        p1 = V.poly.partial(0).restrict_line()
-        p2 = V.poly.partial(1).restrict_line()
-        s = UPoly([GaussianRational(0), GaussianRational(1)])
-        return s * p1 - p2
-    # rational kind: grad V = (P' Q - P Q')/Q^2; the common Q^2 drops out
-    g1 = _grad_component_numer(V.num, V.den, 0)
-    g2 = _grad_component_numer(V.num, V.den, 1)
-    s = UPoly([GaussianRational(0), GaussianRational(1)])
-    return s * g1 - g2
+    P, Q = (V.poly, _UNIT) if V.kind == POLYNOMIAL else (V.num, V.den)
+    p, q = P.restrict_line(), Q.restrict_line()
+    g1, g2 = (P.partial(a).restrict_line() * q - p * Q.partial(a).restrict_line()
+              for a in (0, 1))
+    return g1, g2, q, Q.degree
 
 
-def _grad_component_numer(num, den, axis) -> UPoly:
-    """Numerator of dV/dq_axis for V = num/den, restricted to (1, s)."""
-    a = num.partial(axis).restrict_line() * den.restrict_line()
-    b = num.restrict_line() * den.partial(axis).restrict_line()
-    return a - b
+def direction_polynomial(V: Potential) -> UPoly:
+    """W(s) = numerator of s*d1V(1,s) - d2V(1,s); roots are directions (1,s)."""
+    g1, g2, _, _ = _line_numerators(V)
+    return _S * g1 - g2
+
+
+def _coeff(p: UPoly, j: int):
+    return p.coeffs[j] if j < len(p.coeffs) else GaussianRational(0)
 
 
 def _principal_scaling(rho, m: int):
     """gamma with gamma^m = rho, principal branch; exact when possible.
 
     Other branches give rotation-equivalent Darboux points and are not
-    enumerated.  A negative real rho keeps the principal (complex) root,
-    also when its float imaginary part is -0.0.
+    enumerated.  A real rho > 0 gets its real root, and a negative real
+    rho the principal (complex) one, also when its float imaginary part
+    is -0.0.
     """
     if m == 0:
         raise DarbouxError("degree k=2 has no radial scaling")
+    if scalar_is_zero(rho):
+        raise DarbouxError("zero scaling candidate")
+    if m in (1, -1):
+        return rho if m == 1 else 1 / rho
     if isinstance(rho, GaussianRational):
-        if m in (1, -1):
-            return rho if m == 1 else GaussianRational(1) / rho
         if m in (2, -2):
             base = rho if m == 2 else GaussianRational(1) / rho
             sq = base.sqrt_exact()  # the exact branch agrees with the principal root
@@ -145,135 +159,120 @@ def _principal_scaling(rho, m: int):
             if ex is not None:
                 return GaussianRational(ex)
     z = to_complex(rho) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
-    if z == 0:
-        raise DarbouxError("zero scaling candidate")
+    if z.imag == 0 and z.real > 0:
+        return complex(z.real ** (1 / m))
     return cmath.exp(cmath.log(z) / m)
 
 
-DEGENERATE = "degenerate"
-
-
-def _classify_direction(V: Potential, d, multiplicity: int = 1,
-                        residual_tol: float = RESIDUAL_TOL, on_point: bool = False):
-    """The Darboux point on the direction d, classified from one jet at d.
-
-    With grad V(d) = mu d and rho = k/mu, the point is c = gamma d with
-    gamma^(k-2) = rho, and Hess V(c) = rho Hess V(d).  So lambda and the
-    multiple-point test are exact whenever d is; gamma only places c.
-    With on_point, d is the point itself: mu must be k, and gamma = 1.
-
-    Returns DEGENERATE when |mu| <= 1e-12 (no finite point on d), and
-    None when d is exact and grad V(d) is not a multiple of d.
-    """
-    k = V.degree
-    jet = jet_at(V, d, 1)
-    exact = jet.exact
-    d0, d1 = jet.base_point
-    g1, g2 = jet.gradient()
-    if on_point:
-        mu = GaussianRational(k)  # rho = gamma = 1
-    else:
-        mu = g2 / d1 if scalar_is_zero(d0) else g1 / d0  # d is (1, s) or (0, 1)
-    r1, r2 = g1 - mu * d0, g2 - mu * d1  # grad V(c) - kc = gamma^(k-1) (r1, r2)
-    if exact and not (r1.is_zero() and r2.is_zero()):
-        return None
-    if scalar_is_zero(mu, 1e-12):
-        return DEGENERATE
-    rho = k / mu
-    gamma = _principal_scaling(rho, k - 2)
-    c = (gamma * d0, gamma * d1)
-    if exact:
-        residual = 0.0
-    else:
-        residual = abs(to_complex(gamma)) ** (k - 1) * max(abs(r1), abs(r2))
+def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -> DarbouxPoint:
+    """The point c with Hessian spectrum {k(k-1), lambda}, once its residual
+    |grad V(c) - kc| passes."""
+    if residual:
         scale = max(1.0, abs(k) * max(abs(to_complex(c[0])), abs(to_complex(c[1]))))
-        if residual > residual_tol * scale:
+        if residual > RESIDUAL_TOL * scale:
             raise DarbouxError(f"{c} is not a Darboux point (residual {residual:.2e})")
-
-    (h11, h12), (_, h22) = jet.hessian()
-    h11, h12, h22 = rho * h11, rho * h12, rho * h22
     kk1 = k * (k - 1)
-    lam = h11 + h22 - kk1  # trace minus the forced eigenvalue
-    det = (h11 - k) * (h22 - k) - h12 * h12
-    if exact:
-        multiple = det.is_zero()
-        lam_cap = lam.re if lam.is_real() else float("-inf")
+    if isinstance(lam, GaussianRational):
+        spectrum, cap = (GaussianRational(kk1), lam), lam.re if lam.is_real() else float("-inf")
     else:
-        scale = max(1.0, abs(h11), abs(h12), abs(h22)) ** 2
-        multiple = abs(det) < MULTIPLE_DET_TOL * scale
-        lam_real = abs(lam.imag) < 1e-9 * max(1.0, abs(lam))
-        lam_cap = lam.real if lam_real else float("-inf")
-
-    iso = scalar_is_zero(d0 * d0 + d1 * d1, 1e-10)
-    return DarbouxPoint(
-        c=c, spectrum=(GaussianRational(kk1) if exact else complex(kk1), lam),
-        # spectrum {k(k-1), k(k-1)} (k != 2) at an isotropic point: never multiple
-        multiple=multiple and not iso, isotropic=iso,
-        direction_multiplicity=multiplicity, lambda_cap=lam_cap,
-        exact=all(isinstance(t, GaussianRational) for t in c), residual=residual)
+        real = abs(lam.imag) < 1e-9 * max(1.0, abs(lam))
+        spectrum, cap = (complex(kk1), lam), lam.real if real else float("-inf")
+    return DarbouxPoint(c=c, spectrum=spectrum, multiple=multiple, isotropic=iso,
+                        direction_multiplicity=m, lambda_cap=cap, residual=residual,
+                        exact=all(isinstance(t, GaussianRational) for t in c))
 
 
-def classify(V: Potential, c, direction_multiplicity: int = 1,
-             residual_tol: float = RESIDUAL_TOL) -> DarbouxPoint:
-    """Hessian spectrum and multiplicity flags at a (verified) Darboux point."""
+def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,
+              defect: Optional[float] = None) -> DarbouxPoint:
+    """The Darboux point c = gamma d on a direction d with grad V(d) = mu d.
+
+    gamma^(k-2) = k/mu.  For a float direction, defect = |grad V(d) - mu d|
+    gives the residual |grad V(c) - kc| = |gamma|^(k-1) defect.
+    """
+    gamma = _principal_scaling(k / mu, k - 2)
+    residual = 0.0 if defect is None else abs(to_complex(gamma)) ** (k - 1) * defect
+    return _point(k, (gamma * d[0], gamma * d[1]), lam, multiple, iso, m, residual)
+
+
+def classify(V: Potential, c, direction_multiplicity: int = 1) -> DarbouxPoint:
+    """Hessian spectrum and multiplicity flags at a Darboux point c, from
+    the jet at c."""
     _check_analysis_degree(V)
-    p = _classify_direction(V, c, direction_multiplicity, residual_tol, on_point=True)
-    if p is None:
-        raise DarbouxError(f"{c} is not a Darboux point: grad V(c) != kc")
-    return p
+    k = V.degree
+    jet = jet_at(V, c, 1)
+    c0, c1 = jet.base_point
+    g1, g2 = jet.gradient()
+    r1, r2 = g1 - k * c0, g2 - k * c1
+    (h11, h12), (_, h22) = jet.hessian()
+    lam = h11 + h22 - k * (k - 1)  # trace minus the forced eigenvalue
+    det = (h11 - k) * (h22 - k) - h12 * h12
+    if jet.exact:
+        if not (r1.is_zero() and r2.is_zero()):
+            raise DarbouxError(f"{c} is not a Darboux point: grad V(c) != kc")
+        residual, multiple = 0.0, det.is_zero()
+    else:
+        residual = max(abs(r1), abs(r2))
+        multiple = abs(det) < MULTIPLE_DET_TOL * max(1.0, abs(h11), abs(h12), abs(h22)) ** 2
+    iso = scalar_is_zero(c0 * c0 + c1 * c1, 1e-10)
+    # spectrum {k(k-1), k(k-1)} (k != 2) at an isotropic point: never multiple
+    return _point(k, (c0, c1), lam, multiple and not iso, iso, direction_multiplicity, residual)
 
 
-def _is_radial_polynomial(V: Potential):
-    """The exact radial coefficient a when V == a*(q1^2+q2^2)^(k/2), else None."""
-    if V.kind != POLYNOMIAL or V.degree % 2 != 0 or V.degree < 2:
-        return None
-    m = V.degree // 2
-    from math import comb
-    lead = V.poly.terms.get((V.degree, 0))
-    if lead is None:
-        return None
-    expected = {}
-    for t in range(m + 1):
-        expected[(2 * (m - t), 2 * t)] = lead * comb(m, t)
-    return lead if expected == V.poly.terms else None
+def _radial_coefficient(V: Potential):
+    """a with V = a (q1^2+q2^2)^(k/2), for a rotation-invariant V: the value
+    of V at the first point ((1-t^2), 2t)/(1+t^2), t = 0, 1, 2, ..., of the
+    unit circle where its denominator does not vanish."""
+    P, Q = (V.poly, _UNIT) if V.kind == POLYNOMIAL else (V.num, V.den)
+    for t in count():
+        x, y = Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)
+        den = Q.evaluate(x, y)
+        if not den.is_zero():
+            return P.evaluate(x, y) / den
 
 
-def find_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> DarbouxSet:
+def find_darboux_points(V: Potential) -> DarbouxSet:
     """All Darboux points of V (one representative for radial continuums)."""
     _check_analysis_degree(V)
-    one = GaussianRational(1)
+    k = V.degree
+    one, zero = GaussianRational(1), GaussianRational(0)
     if V.kind == RADIAL:
-        # a * gamma^(k-2) = 1 picks the circle radius of the Darboux continuum
-        point = _classify_direction(V, (one, GaussianRational(0)))
+        # grad V(1, 0) = k a (1, 0), and a gamma^(k-2) = 1 picks the circle radius
+        point = _point_on(k, (one, zero), V.a * k, GaussianRational(k), 1, True)
         return DarbouxSet(points=[point], continuum=True)
     if V.kind == POLAR:
-        return _polar_darboux_points(V, residual_tol)
+        return _polar_darboux_points(V)
 
-    W = direction_polynomial(V)
-    if W.is_zero():
-        a = _is_radial_polynomial(V)
-        if a is not None:
-            return find_darboux_points(Potential.radial(a, V.degree))
-        raise DarbouxError(
-            "every direction solves the direction equation but the potential "
-            "is not radial: degenerate input")
-
-    points = []
-    degenerate = []
+    g1, g2, q, e = _line_numerators(V)
+    W = _S * g1 - g2
+    if W.is_zero():  # grad V(q) is a multiple of q everywhere: V = a r^k
+        return find_darboux_points(Potential.radial(_radial_coefficient(V), k))
+    dW = W.derivative()
+    points, degenerate = [], []
     try:
-        directions = [((one if r.exact else 1.0 + 0j, r.value), r.multiplicity)
-                      for r in roots(W)]
-        # the direction (0, 1) escapes the (1, s) chart: one more candidate
-        directions.append(((GaussianRational(0), one), 1))
-        for d, m in directions:
-            try:
-                p = _classify_direction(V, d, m, residual_tol)
-            except SingularPointError:
+        for r in roots(W):
+            s, m = r.value, r.multiplicity
+            qs = q(s)
+            if scalar_is_zero(qs, 1e-14):
                 continue  # on the denominator's zero set: not a direction
-            if p is DEGENERATE:
-                degenerate.append(d)
-            elif p is not None:
-                points.append(p)
+            d = (one if r.exact else 1.0 + 0j, s)
+            mu = g1(s) / (qs * qs)
+            if scalar_is_zero(mu, 1e-12):
+                degenerate.append(d)  # no finite point on d
+                continue
+            iso = r.exact and (s * s + 1).is_zero()
+            defect = None if r.exact else abs(W(s)) / abs(qs) ** 2
+            points.append(_point_on(k, d, mu, k - k * dW(s) / g1(s), m,
+                                    m > 1 and not iso, iso, defect))
+        # (0, 1) is the root t = 0 of -t^n W(1/t), n = k + 2e, read off exactly
+        n = k + 2 * e
+        q0, top = _coeff(q, e), _coeff(g2, n - 1)
+        if W.degree < n and not q0.is_zero():
+            if top.is_zero():
+                degenerate.append((zero, one))
+            else:
+                m = n - W.degree
+                lam = k + k * _coeff(W, n - 1) / top
+                points.append(_point_on(k, (zero, one), top / (q0 * q0), lam, m, m > 1))
     except OverflowError as exc:
         raise DarbouxError(f"a Darboux direction is beyond double precision: {exc}") from exc
 
@@ -281,7 +280,7 @@ def find_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> Dar
     return DarbouxSet(points=points, continuum=False, degenerate_directions=degenerate)
 
 
-def _polar_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> DarbouxSet:
+def _polar_darboux_points(V: Potential) -> DarbouxSet:
     from .polar import critical_points
     if V.U.is_constant():
         return find_darboux_points(Potential.radial(V.U.const, V.degree))
@@ -294,7 +293,7 @@ def _polar_darboux_points(V: Potential, residual_tol: float = RESIDUAL_TOL) -> D
         radius = complex(u) ** (1.0 / (2 - k))
         import math
         c = (radius * math.cos(theta), radius * math.sin(theta))
-        pts.append(classify(V, c, residual_tol=residual_tol))
+        pts.append(classify(V, c))
     pts.sort(key=_point_sort_key)
     return DarbouxSet(points=pts, continuum=False)
 

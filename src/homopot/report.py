@@ -40,7 +40,6 @@ ST_INDETERMINATE = "indeterminate"
 
 @dataclass
 class AnalyzeOptions:
-    residual_tol: float = 1e-10
     max_denominator: int = 1000
     k5_variant: str = morales.K5_PRINTED
 
@@ -168,7 +167,7 @@ def analyze(source, options: Optional[AnalyzeOptions] = None) -> AnalysisReport:
         text = str(source)
         V = parse_potential(text)
 
-    dset = find_darboux_points(V, residual_tol=opts.residual_tol)
+    dset = find_darboux_points(V)
     notes = []
     if dset.degenerate_directions:
         notes.append(f"{len(dset.degenerate_directions)} degenerate direction(s) "

@@ -8,8 +8,8 @@ Gaussian integers, so each float root z has the one candidate
 round(L*z)/L.  The candidate becomes the exact root when f_m vanishes
 there exactly; otherwise z stays a float.  Aberth runs on f_m(2^e t)
 scaled to roots of modulus about 1, so coefficients far beyond double
-precision do not overflow it, and a root of a real f_m with no
-conjugate partner among the other roots is returned real.
+precision do not overflow it.  The real and the purely imaginary roots
+of a real f_m are returned exactly on their axis.
 """
 
 from __future__ import annotations
@@ -232,14 +232,34 @@ def _scaled_aberth_roots(f: UPoly):
             for t in aberth_roots([to_complex(c) for c in g])]
 
 
-def _conjugate_pairs(zs):
-    """Roots of a real polynomial: a root with no conjugate partner among
-    the others is real, so its rounding residue is dropped."""
+def _unpaired_onto(zs, flip, onto):
+    """zs with onto(z) for each z whose nearest root to flip(z) is z itself."""
     out = []
     for i, z in enumerate(zs):
-        nearest = min(range(len(zs)), key=lambda j: abs(zs[j] - z.conjugate()))
-        out.append(complex(z.real, 0.0) if nearest == i else z)
+        nearest = min(range(len(zs)), key=lambda j: abs(zs[j] - flip(z)))
+        out.append(onto(z) if nearest == i else z)
     return out
+
+
+def _real_factor_roots(f: UPoly):
+    """Roots of a real square-free f, the real and the purely imaginary
+    ones without rounding residue off their axis.
+
+    The roots are closed under conjugation, so one with no conjugate
+    partner is real.  The purely imaginary ones are among the roots of
+    h = gcd(f(s), f(-s)), which are closed under z -> -conj(z); one with
+    no partner under that map is imaginary.  A float pre-test spares the
+    gcd when no root lies near the imaginary axis.
+    """
+    zs = _scaled_aberth_roots(f)
+    if any(abs(z.real) < 1e-6 * abs(z.imag) for z in zs):
+        h = f.gcd(UPoly([-c if j % 2 else c for j, c in enumerate(f.coeffs)]))
+        if h.degree > 0:
+            whole = h.degree == f.degree
+            hs = _unpaired_onto(zs if whole else _scaled_aberth_roots(h),
+                                lambda z: -z.conjugate(), lambda z: complex(0.0, z.imag))
+            zs = hs if whole else hs + _scaled_aberth_roots(f // h)
+    return _unpaired_onto(zs, complex.conjugate, lambda z: complex(z.real, 0.0))
 
 
 def _exact_candidate(f: UPoly, lead: int, z: complex):
@@ -269,9 +289,8 @@ def roots(p: UPoly):
     result = []
     for f, m in square_free_factors(p):
         lead = lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
-        zs = _scaled_aberth_roots(f)
-        if all(c.is_real() for c in f.coeffs):
-            zs = _conjugate_pairs(zs)
+        real = all(c.is_real() for c in f.coeffs)
+        zs = _real_factor_roots(f) if real else _scaled_aberth_roots(f)
         for z in zs:
             g = _exact_candidate(f, lead, z)
             result.append(Root(z, m, False) if g is None else Root(g, m, True))

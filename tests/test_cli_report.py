@@ -189,6 +189,8 @@ def test_cli_analyze_json(capsys):
     js = json.loads(out)
     assert js["verdict"] == NON_INTEGRABLE
     assert js["multiplicity_summary"]["n_points"] == 2
+    # gamma = 3/(2s) for the real directions s = +-1/sqrt 2: the points are real
+    assert all(isinstance(t, float) for p in js["darboux"]["points"] for t in p["c"])
 
 
 def test_cli_analyze_error_exit(capsys):
@@ -284,6 +286,7 @@ def test_cli_dump_table(capsys):
 def test_cli_usage_error_exit_code(capsys):
     for argv in (["analyze"],  # missing the potential argument
                  ["analyze", "q1^3", "--quad-tol", "1e-9"],
+                 ["analyze", "q1^3", "--residual-tol", "1e-9"],
                  ["morales-check", "--k", "3", "--lambda", "1", "--max-denominator", "5"],
                  ["dump-table", "--max-denominator", "5"],
                  ["analyze", "q1^3", "--timing"],  # --timing needs --json

@@ -3,16 +3,20 @@ normalization."""
 
 import cmath
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import homopot.darboux as darboux_module
+import homopot.potential as potential_module
 from homopot.darboux import (DarbouxError, classify, direction_polynomial,
                              find_darboux_points, normalize)
 from homopot.parse import parse_potential
-from homopot.potential import Potential, jet_at, transform
-from homopot.report import NON_INTEGRABLE, analyze
-from homopot.scalars import gr, to_complex
+from homopot.potential import HomoPoly, Potential, jet_at, transform
+from homopot.report import NON_INTEGRABLE, RADIAL_CANDIDATE, analyze
+from homopot.scalars import GaussianRational, gr, to_complex
+from homopot.upoly import UPoly
 
 from conftest import planted_potential
 
@@ -300,3 +304,95 @@ def test_negative_scaling_takes_the_principal_root():
     for p in ds.points:
         gamma = to_complex(p.c[0])
         assert abs(cmath.phase(gamma) - cmath.pi / 3) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["1/(q1^2+q2^2)", "3/(q1^2+q2^2)^2",
+                                  "q1/(q1^3+q1*q2^2)", "q2/(q2^3+q1^2*q2)"])
+def test_rotation_invariant_quotient_is_radial(text):
+    # W == 0: V = a r^k with a = V on the unit circle, off the denominator's zeros
+    V = parse_potential(text)
+    ds = find_darboux_points(V)
+    assert ds.continuum and len(ds.points) == 1
+    p = ds.points[0]
+    assert p.multiple and p.spectrum[1] == gr(V.degree)
+    assert analyze(text).verdict == RADIAL_CANDIDATE
+
+
+def _potential_with_direction_polynomial(W, k: int) -> Potential:
+    """The degree-k polynomial V (k odd) whose direction polynomial is W.
+
+    The s^i coefficient of W is (k-i+1) v_(i-1) - (i+1) v_(i+1), with v_j
+    the coefficient of q1^(k-j) q2^j: even i fix v_1, v_3, ... upwards,
+    odd i fix v_(k-1), v_(k-3), ... downwards.
+    """
+    w = W.coeffs + [gr(0)] * (k + 1 - len(W.coeffs))
+    v = [gr(0)] * (k + 2)
+    for i in range(0, k, 2):
+        v[i + 1] = ((k - i + 1) * v[i - 1] - w[i]) / (i + 1) if i else -w[0]
+    for i in range(k, 0, -2):
+        v[i - 1] = (w[i] + (i + 1) * v[i + 1]) / (k - i + 1)
+    return Potential.polynomial(HomoPoly(k, {(k - j, j): v[j] for j in range(k + 1)}))
+
+
+def test_exact_points_match_the_jet_reference(rng):
+    # lambda = k - k W'(s)/g1(s) and multiple = (multiplicity >= 2) agree
+    # with the Hessian of the jet at every point on an exact direction
+    potentials = [planted_potential(rng, rng.choice([3, 4, 5, 6]), multiple=rng.random() < 0.5)
+                  for _ in range(20)]
+    for _ in range(30):  # W a product of Gaussian-rational linear factors
+        W = UPoly([gr(1)])
+        for _ in range(rng.randint(1, 3)):
+            r = gr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.3 else 0)
+            for _ in range(rng.randint(1, 3)):
+                W = W * UPoly([-r, gr(1)])
+        V = _potential_with_direction_polynomial(W, W.degree + 1 + W.degree % 2 + rng.choice([0, 2]))
+        assert direction_polynomial(V).coeffs == W.coeffs
+        potentials.append(V)
+    potentials += [parse_potential(t) for t in (
+        "q1^3", "q1^4/q2", "q1^3 + 3/2*q1*q2^2 + q2^3", "(q1 + i*q2)*(q1 - i*q2)^2",
+        "q2^3 + 3/2*q1^2*q2", "q2^4 + 2*q1^2*q2^2 + q1^3*q2", "q1^2*q2^2 + 2*q2^4",
+        "(q1^2 + q2^2)^2", "r^-3")]
+    checked = Counter()
+    for V in potentials:
+        for p in find_darboux_points(V).points:
+            if not isinstance(p.spectrum[1], GaussianRational):
+                continue  # a float direction
+            ref = classify(V, p.c, p.direction_multiplicity)
+            assert (p.multiple, p.isotropic) == (ref.multiple, ref.isotropic), (V.text(), p.c)
+            if p.exact:
+                assert (p.spectrum, p.lambda_cap) == (ref.spectrum, ref.lambda_cap), (V.text(), p.c)
+            else:  # exact direction, irrational c: the reference is a float
+                lam = to_complex(p.spectrum[1])
+                assert abs(to_complex(ref.spectrum[1]) - lam) < 1e-9 * max(1, abs(lam)), V.text()
+            checked[p.exact, p.multiple] += 1
+    assert min(checked.values()) >= 10 and len(checked) == 4, checked
+
+
+def test_no_jet_per_direction(monkeypatch):
+    # the polynomial, rational and radial kinds are classified from W alone
+    calls = []
+    real_jet_at = potential_module.jet_at
+
+    def counting_jet_at(*args):
+        calls.append(args)
+        return real_jet_at(*args)
+
+    inputs = [parse_potential(t) for t in (
+        "q1^2*q2", "q1^3 + 3/2*q1*q2^2 + q2^3", "q2^4 + 2*q1^2*q2^2 + q1^3*q2",
+        "q1^4/q2", "(q1^2 + q2^2)^2", "1/(q1^2+q2^2)", "r^-3")]
+    monkeypatch.setattr(potential_module, "jet_at", counting_jet_at)
+    monkeypatch.setattr(darboux_module, "jet_at", counting_jet_at)
+    for V in inputs:
+        assert find_darboux_points(V).points
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, m", [("q2^3 + 3/2*q1^2*q2", 3),
+                                     ("q2^4 + 2*q1^2*q2^2 + q1^3*q2", 2)])
+def test_vertical_direction_multiplicity(text, m):
+    # (0, 1) is the root t = 0 of -t^n W(1/t), of multiplicity n - deg W
+    V = parse_potential(text)
+    p = next(p for p in find_darboux_points(V).points if p.c[0] == 0)
+    assert p.direction_multiplicity == m
+    assert p.multiple and p.spectrum[1] == gr(V.degree)

@@ -85,6 +85,18 @@ def test_real_roots_of_a_real_factor_are_real():
     assert imags[:4] == [0.0] * 4 and all(abs(y - 3 ** -0.5) < 1e-12 for y in imags[4:])
 
 
+def test_imaginary_roots_of_a_real_factor_are_imaginary():
+    # (s^2 + 2)(s - 1) and (s^2 + 2)(s^3 - s - 7): +-sqrt(2) i carry no real
+    # rounding residue, and the complex pair of s^3 - s - 7 keeps its real part
+    for other in (UPoly([gr(-1), gr(1)]), UPoly([gr(-7), gr(-1), gr(0), gr(1)])):
+        zs = [r.as_complex() for r in roots(UPoly([gr(2), gr(0), gr(1)]) * other)]
+        axis = [z for z in zs if abs(abs(z) - math.sqrt(2)) < 1e-12]
+        assert len(axis) == 2 and abs(axis[0] + axis[1]) < 1e-12
+        assert [z.real for z in axis] == [0.0, 0.0]
+    pair = [z for z in zs if z.imag and z not in axis]
+    assert len(pair) == 2 and all(abs(z.real + 1.0433726699413) < 1e-12 for z in pair)
+
+
 def test_coefficients_beyond_double_precision():
     # Aberth runs on a rescaled copy: no overflow to inf or nan
     for e in (200, 400):
