@@ -41,15 +41,8 @@ def _add_k5_option(p: argparse.ArgumentParser) -> None:
                         "the pattern-matching variant)")
 
 
-def _add_table_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-denominator", type=int, default=1000,
-                   help="denominator cap for rational reconstruction of eigenvalues")
-    _add_k5_option(p)
-
-
 def _options(args) -> AnalyzeOptions:
-    return AnalyzeOptions(max_denominator=args.max_denominator,
-                          k5_variant=args.k5_variant)
+    return AnalyzeOptions(k5_variant=args.k5_variant)
 
 
 def cmd_analyze(args) -> int:
@@ -68,7 +61,7 @@ def cmd_analyze(args) -> int:
 def cmd_polar_analyze(args) -> int:
     try:
         U = parse_trig_poly(args.U)
-        verdict = polar.analyze_polar(U, args.k, args.max_denominator, args.k5_variant)
+        verdict = polar.analyze_polar(U, args.k, args.k5_variant)
     except (PotentialError, polar.PolarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -258,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the --json output")
-    _add_table_options(p)
+    _add_k5_option(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("polar-analyze", help="classify V = r^k U(theta) for k < 0")
     p.add_argument("--U", required=True, help="trig polynomial, e.g. '1 + 1/10*cos(2*theta)'")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--json", action="store_true")
-    _add_table_options(p)
+    _add_k5_option(p)
     p.set_defaults(func=cmd_polar_analyze)
 
     p = sub.add_parser("darboux", help="locate and classify Darboux points")
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the --json output")
-    _add_table_options(p)
+    _add_k5_option(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("dump-table", help="print the admissibility table data")

@@ -12,11 +12,18 @@ Hess V(1, s) has the eigenvalue mu (1 - W'(s)/g1(s)) on (-s, 1).  So the
 point is multiple (lambda = k) exactly when m >= 2, unless s^2 = -1
 (isotropic).  The direction (0, 1) is the root t = 0 of -t^n W(1/t),
 n = deg P + deg Q, of multiplicity n - deg W, with
-lambda = k + k W_(n-1)/(g2)_(n-1).  lambda and the multiple test are
-exact whenever s is, even when gamma (and so c) is irrational; floats
-enter only for irrational directions and the polar kind, which
-`classify` handles from the jet at a point.  W == 0 means V is
-rotation-invariant.
+lambda = k + k W_(n-1)/(g2)_(n-1).  W == 0 means V is rotation-invariant.
+
+For the polar kind V = r^k U(theta), grad V(d) = k U d + U' d_perp on
+the unit direction d = (Re z, Im z), z = e^{i theta}.  The Darboux
+directions are the roots z of z^M U' on the unit circle (`polar`), with
+exact multiplicities m: mu = k U(theta), lambda = k + U''/U, and the
+point is multiple exactly when m >= 2 (never isotropic).
+
+lambda and the multiple test are exact whenever the direction is, even
+when gamma (and so c) is irrational; floats enter only for irrational
+directions.  No jet is taken: `classify` reads the spectrum off the jet
+at a given point, for `normalize` and as a reference.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import count
 from typing import Optional
 
+from .polar import critical_points, eigenvalue_at, value_at
 from .potential import (HomoPoly, Potential, PotentialError, jet_at, transform,
                         rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
 from .scalars import GaussianRational, rational_nth_root, scalar_is_zero, to_complex
@@ -194,7 +203,7 @@ def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,
     return _point(k, (gamma * d[0], gamma * d[1]), lam, multiple, iso, m, residual)
 
 
-def classify(V: Potential, c, direction_multiplicity: int = 1) -> DarbouxPoint:
+def classify(V: Potential, c) -> DarbouxPoint:
     """Hessian spectrum and multiplicity flags at a Darboux point c, from
     the jet at c."""
     _check_analysis_degree(V)
@@ -215,7 +224,7 @@ def classify(V: Potential, c, direction_multiplicity: int = 1) -> DarbouxPoint:
         multiple = abs(det) < MULTIPLE_DET_TOL * max(1.0, abs(h11), abs(h12), abs(h22)) ** 2
     iso = scalar_is_zero(c0 * c0 + c1 * c1, 1e-10)
     # spectrum {k(k-1), k(k-1)} (k != 2) at an isotropic point: never multiple
-    return _point(k, (c0, c1), lam, multiple and not iso, iso, direction_multiplicity, residual)
+    return _point(k, (c0, c1), lam, multiple and not iso, iso, 1, residual)
 
 
 def _radial_coefficient(V: Potential):
@@ -260,9 +269,17 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
                 degenerate.append(d)  # no finite point on d
                 continue
             iso = r.exact and (s * s + 1).is_zero()
-            defect = None if r.exact else abs(W(s)) / abs(qs) ** 2
-            points.append(_point_on(k, d, mu, k - k * dW(s) / g1(s), m,
-                                    m > 1 and not iso, iso, defect))
+            point = partial(_point_on, k, d, mu, k - k * dW(s) / g1(s), m, m > 1 and not iso, iso)
+            if r.exact:
+                points.append(point())
+                continue
+            try:
+                points.append(point(abs(W(s)) / abs(qs) ** 2))
+            except DarbouxError:
+                # |W(s)| in doubles cannot fall below its rounding floor, about
+                # 2^-52 sum |W_j s^j|; only a failing root pays for W exact at s
+                exact_w = W(GaussianRational(s.real, s.imag))
+                points.append(point(abs(to_complex(exact_w)) / abs(qs) ** 2))
         # (0, 1) is the root t = 0 of -t^n W(1/t), n = k + 2e, read off exactly
         n = k + 2 * e
         q0, top = _coeff(q, e), _coeff(g2, n - 1)
@@ -281,21 +298,25 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
 
 
 def _polar_darboux_points(V: Potential) -> DarbouxSet:
-    from .polar import critical_points
-    if V.U.is_constant():
-        return find_darboux_points(Potential.radial(V.U.const, V.degree))
-    k = V.degree
-    pts = []
-    for theta in critical_points(V.U):
-        u = V.U.evaluate(theta)
-        if abs(complex(u)) < 1e-12:
-            continue  # U(theta0)=0 gives no finite Darboux point on this ray
-        radius = complex(u) ** (1.0 / (2 - k))
-        import math
-        c = (radius * math.cos(theta), radius * math.sin(theta))
-        pts.append(classify(V, c))
-    pts.sort(key=_point_sort_key)
-    return DarbouxSet(points=pts, continuum=False)
+    """V = r^k U(theta): grad V(d) = k U(theta) d + U'(theta) d_perp on the
+    unit direction d = (Re z, Im z), z = e^{i theta}, so each root z of
+    z^M U' of multiplicity m gives mu = k U(theta), lambda = k + U''/U and
+    a point that is multiple exactly when m >= 2."""
+    U, k = V.U, V.degree
+    if U.is_constant():
+        return find_darboux_points(Potential.radial(U.const, k))
+    dU = U.derivative()
+    points = []
+    for theta, z, m in critical_points(U):
+        u = value_at(U, z)
+        if scalar_is_zero(u, 1e-12):
+            continue  # U(theta) = 0 gives no finite Darboux point on this ray
+        exact = isinstance(z, GaussianRational)
+        d = (GaussianRational(z.re), GaussianRational(z.im)) if exact else (z.real, z.imag)
+        defect = None if exact else abs(dU.evaluate(theta))
+        points.append(_point_on(k, d, k * u, eigenvalue_at(U, k, z), m, m > 1, defect=defect))
+    points.sort(key=_point_sort_key)
+    return DarbouxSet(points=points, continuum=False)
 
 
 def _point_sort_key(p: DarbouxPoint):

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Optional
+
+from .scalars import rational_sqrt
 
 Q = Fraction
 
 K5_PRINTED = "printed"
 K5_TENJ = "tenj"
+
+MAX_DENOMINATOR = 1000  # the cap when analyze reconstructs a float eigenvalue
 
 
 @dataclass(frozen=True)
@@ -143,21 +146,11 @@ class MoralesVerdict:
         return out
 
 
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Q(rn, rd)
-    return None
-
-
 def _solve_row(row: TableRow, lam: Fraction):
     """Integer solutions of row.value(i) = lam plus the discriminant."""
     disc = row.B * row.B - 4 * row.A * (row.C - lam)
     sols = []
-    root = _fraction_sqrt(disc)
+    root = rational_sqrt(disc)
     if root is not None:
         for sgn in (1, -1) if root != 0 else (1,):
             i = (-row.B + sgn * root) / (2 * row.A)

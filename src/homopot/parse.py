@@ -19,7 +19,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-from .potential import (HomoPoly, Potential, PotentialError, TrigPoly,
+from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
                         POLYNOMIAL, RATIONAL, RADIAL, POLAR)
 from .scalars import GaussianRational
 
@@ -177,19 +177,6 @@ def _d_add(a, b):
     return out
 
 
-def _d_mul(a, b):
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            s = out.get(k, GaussianRational(0)) + v1 * v2
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
 def _d_scale(a, g):
     return {k: v * g for k, v in a.items()}
 
@@ -204,19 +191,19 @@ class _RatFunc:
         self.den = {k: v for k, v in den.items() if not v.is_zero()}
 
     def __add__(self, o):
-        return _RatFunc(_d_add(_d_mul(self.num, o.den), _d_mul(o.num, self.den)),
-                        _d_mul(self.den, o.den))
+        return _RatFunc(_d_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den)),
+                        _dict_mul(self.den, o.den))
 
     def __neg__(self):
         return _RatFunc(_d_scale(self.num, GaussianRational(-1)), self.den)
 
     def __mul__(self, o):
-        return _RatFunc(_d_mul(self.num, o.num), _d_mul(self.den, o.den))
+        return _RatFunc(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
 
     def __truediv__(self, o):
         if not o.num:
             raise ParseError("division by zero expression")
-        return _RatFunc(_d_mul(self.num, o.den), _d_mul(self.den, o.num))
+        return _RatFunc(_dict_mul(self.num, o.den), _dict_mul(self.den, o.num))
 
     def powi(self, n: int):
         if n < 0:

@@ -1,24 +1,29 @@
 """Classification pipeline for real-analytic potentials V = r^k U(theta).
 
-Every critical point of U gives a Darboux point of V with spectrum
-{k(k-1), U''(theta0)/U(theta0) + k}.  Choosing the extremum by the sign
-pattern of max U / min U guarantees U(theta0) != 0 and a second
-eigenvalue <= k, which for negative k pins the verdict: either the
-eigenvalue is inadmissible (not integrable), or it equals k and the
-point is multiple (only the rotation-invariant potential survives).
-Degree -2 is unconditionally integrable.
-"""
+Every critical point theta0 of U with U(theta0) != 0 gives a Darboux
+point of V with spectrum {k(k-1), U''(theta0)/U(theta0) + k}.  With
+z = e^{i theta}, a trig polynomial T of top frequency M is P(z)/z^M for
+the polynomial P = z^M T (`_z_poly`).  The critical points are the roots
+of z^M U' on the unit circle, with their exact multiplicities, and U and
+U'' share M, so lambda = k + P_U''(z)/P_U(z) is exact whenever z is in
+Q(i), at any angle.  Choosing the extremum by the sign pattern of
+max U / min U guarantees U(theta0) != 0 and a second eigenvalue <= k,
+which for negative k pins the verdict: either the eigenvalue is
+inadmissible (not integrable), or it equals k and the point is multiple
+(only the rotation-invariant potential survives).  Degree -2 is
+unconditionally integrable."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import morales
 from .potential import PotentialError, TrigPoly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, to_complex
 from .upoly import UPoly, roots
 
 Q = Fraction
@@ -52,65 +57,68 @@ def _z_poly(T: TrigPoly) -> UPoly:
     return UPoly(coeffs)
 
 
+class CriticalPoint(NamedTuple):
+    """A critical angle theta of U with z = e^{i theta} and the multiplicity
+    m of z as a root of z^M U'."""
+
+    theta: float
+    z: object                 # GaussianRational (exact) or complex
+    multiplicity: int
+
+
 def critical_points(U: TrigPoly) -> list:
-    """Sorted real roots of U' in [0, 2pi), via roots of the z-polynomial."""
+    """The critical points of U in [0, 2pi), sorted by angle: the roots z
+    of z^M U' on the unit circle, exactly on it when z is in Q(i)."""
     if not U.is_real():
         raise PolarError("U must have real coefficients")
     dU = U.derivative()
     if dU.is_constant():
         raise PolarError("U is constant: every angle is critical (radial case)")
-    P = _z_poly(dU)
-    thetas = []
-    for root in roots(P):
-        z = root.as_complex()
-        if abs(abs(z) - 1.0) > 1e-8:
-            continue
-        theta = math.atan2(z.imag, z.real) % (2 * math.pi)
-        thetas.append(_newton_polish(dU, theta))
-    thetas.sort()
     out = []
-    for th in thetas:
-        if out and min(abs(th - out[-1]), 2 * math.pi - abs(th - out[-1])) < 1e-9:
+    for root in roots(_z_poly(dU)):
+        z = root.value
+        if not (z.norm2() == 1 if root.exact else abs(abs(z) - 1.0) <= 1e-8):
             continue
-        out.append(th)
-    if out and abs((out[0] + 2 * math.pi) - out[-1]) < 1e-9:
-        out.pop()
-    for th in out:
-        if abs(dU.evaluate(th)) > CRITICAL_RESIDUAL_TOL:
-            raise PolarError(f"critical point residual too large at theta={th}")
-    return out
+        if not root.exact:
+            z = z / abs(z)
+        theta = cmath.phase(to_complex(z)) % (2 * math.pi)
+        if not root.exact and abs(dU.evaluate(theta)) > CRITICAL_RESIDUAL_TOL:
+            raise PolarError(f"critical point residual too large at theta={theta}")
+        out.append(CriticalPoint(theta, z, root.multiplicity))
+    return sorted(out, key=lambda p: p.theta)
 
 
-def _newton_polish(dU: TrigPoly, theta: float, iters: int = 6) -> float:
-    d2U = dU.derivative()
-    for _ in range(iters):
-        f = dU.evaluate(theta)
-        fp = d2U.evaluate(theta)
-        if abs(fp) < 1e-14:
-            break
-        step = f / fp
-        if abs(step) > 0.5:
-            break
-        theta -= step
-    return theta % (2 * math.pi)
+def value_at(T: TrigPoly, z):
+    """T(theta) at z = e^{i theta} on the unit circle, from z^M T: exact
+    when z is in Q(i), else a float; real when T is."""
+    w = _z_poly(T)(z) / z ** T.max_frequency()
+    return w if isinstance(w, GaussianRational) else w.real
 
 
-def select_extremum(U: TrigPoly) -> float:
-    """theta0 by the three-case sign rule; ties break to the smallest angle.
+def eigenvalue_at(U: TrigPoly, k: int, z):
+    """lambda = U''(theta)/U(theta) + k at z = e^{i theta}; U and U'' share
+    the factor z^M, so lambda is exact when z is in Q(i)."""
+    lam = k + _z_poly(U.derivative().derivative())(z) / _z_poly(U)(z)
+    return lam if isinstance(lam, GaussianRational) else lam.real
+
+
+def select_extremum(U: TrigPoly) -> CriticalPoint:
+    """The critical point theta0 by the three-case sign rule; ties break to
+    the smallest angle.
 
     Guarantees U(theta0) != 0, U'(theta0) = 0 and U''(theta0)/U(theta0) <= 0.
     """
     if U.is_constant():
         raise PolarError("U is constant (radial case)")
     crits = critical_points(U)
-    values = [U.evaluate(t) for t in crits]
+    values = [U.evaluate(p.theta) for p in crits]
     vmax, vmin = max(values), min(values)
     tol = 1e-12 * max(1.0, abs(vmax), abs(vmin))
 
     def first_attaining(target):
-        for t, v in zip(crits, values):
+        for p, v in zip(crits, values):
             if abs(v - target) <= tol:
-                return t
+                return p
         raise PolarError("extremum selection failed")
 
     if vmin >= -tol:                      # max U >= min U >= 0
@@ -120,13 +128,6 @@ def select_extremum(U: TrigPoly) -> float:
     if abs(vmax) <= tol:                  # max U = 0 >= min U
         return first_attaining(vmin)
     return first_attaining(vmin)          # 0 > max U >= min U
-
-
-def _exact_quarter(theta: float) -> Optional[int]:
-    q = round(theta / (math.pi / 2))
-    if abs(theta - q * math.pi / 2) < 1e-9:
-        return q % 4
-    return None
 
 
 @dataclass
@@ -151,21 +152,7 @@ class PolarVerdict:
         return out
 
 
-def eigenvalue_at(U: TrigPoly, k: int, theta0: float):
-    """lambda = U''(theta0)/U(theta0) + k, exact when theta0 is a quarter angle."""
-    d2U = U.derivative().derivative()
-    q = _exact_quarter(theta0)
-    if q is not None:
-        u = U.evaluate_quarter(q)
-        upp = d2U.evaluate_quarter(q)
-        if u.is_real() and upp.is_real() and not u.is_zero():
-            return upp.re / u.re + k, True
-    u = U.evaluate(theta0)
-    upp = d2U.evaluate(theta0)
-    return upp / u + k, False
-
-
-def analyze_polar(U: TrigPoly, k: int, max_denominator: int = 1000,
+def analyze_polar(U: TrigPoly, k: int,
                   k5_variant: str = morales.K5_PRINTED) -> PolarVerdict:
     """Integrability verdict for V = r^k U(theta) with k < 0."""
     if k >= 0:
@@ -182,13 +169,13 @@ def analyze_polar(U: TrigPoly, k: int, max_denominator: int = 1000,
         return PolarVerdict(RADIAL_INTEGRABLE, k,
                             note="rotation-invariant potential; the angular momentum "
                                  "is a first integral")
-    theta0 = select_extremum(U)
-    lam, exact = eigenvalue_at(U, k, theta0)
+    theta0, z0, _ = select_extremum(U)
+    lam = eigenvalue_at(U, k, z0)
 
-    if exact:
-        lam_q = Q(lam)
+    if isinstance(lam, GaussianRational):
+        lam_q = lam.re
     else:
-        lam_q = morales.reconstruct_rational(float(lam), max_denominator)
+        lam_q = morales.reconstruct_rational(lam, morales.MAX_DENOMINATOR)
         if lam_q is None:
             return PolarVerdict(INDETERMINATE, k, theta0=theta0, lam=lam,
                                 lam_exact=False,
@@ -210,10 +197,3 @@ def analyze_polar(U: TrigPoly, k: int, max_denominator: int = 1000,
                         lam_exact=True, morales=verdict,
                         note="Hessian eigenvalue at the extremal Darboux point is "
                              "not in the admissibility table")
-
-
-def darboux_point_from_theta(U: TrigPoly, k: int, theta0: float):
-    """The Cartesian Darboux point U(theta0)^{1/(2-k)} (cos, sin)(theta0)."""
-    u = complex(U.evaluate(theta0))
-    radius = u ** (1.0 / (2 - k))
-    return (radius * math.cos(theta0), radius * math.sin(theta0))

@@ -162,7 +162,7 @@ def _zero(exact: bool):
     return GaussianRational(0) if exact else 0j
 
 
-def _dict_mul(a: dict, b: dict, exact: bool) -> dict:
+def _dict_mul(a: dict, b: dict, exact: bool = True) -> dict:
     out = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
@@ -227,18 +227,6 @@ class TrigPoly:
         for m, v in self.sin.items():
             acc += complex(v) * math.sin(m * theta)
         return acc.real if abs(acc.imag) < 1e-300 else acc
-
-    def evaluate_quarter(self, quarter: int):
-        """Exact value at theta = quarter * pi/2 (quarter integer)."""
-        q = quarter % 4
-        acc = self.const
-        cos_tab = [1, 0, -1, 0]
-        sin_tab = [0, 1, 0, -1]
-        for m, v in self.cos.items():
-            acc = acc + v * cos_tab[(m * q) % 4]
-        for m, v in self.sin.items():
-            acc = acc + v * sin_tab[(m * q) % 4]
-        return acc
 
     def derivative(self) -> "TrigPoly":
         # d/dt cos(mt) = -m sin(mt);  d/dt sin(mt) = m cos(mt)

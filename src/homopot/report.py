@@ -40,7 +40,6 @@ ST_INDETERMINATE = "indeterminate"
 
 @dataclass
 class AnalyzeOptions:
-    max_denominator: int = 1000
     k5_variant: str = morales.K5_PRINTED
 
 
@@ -145,7 +144,7 @@ def _eigenvalue_verdict(point, k: int, opts: AnalyzeOptions) -> PointVerdict:
     if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
         return PointVerdict(ST_INADMISSIBLE, lam=None,
                             reason="non-real Hessian eigenvalue (table rows are real)")
-    lam_q = morales.reconstruct_rational(z.real, opts.max_denominator)
+    lam_q = morales.reconstruct_rational(z.real, morales.MAX_DENOMINATOR)
     if lam_q is None:
         return PointVerdict(ST_INDETERMINATE, lam=z.real, lam_exact=False,
                             reason="eigenvalue not recognizably rational")

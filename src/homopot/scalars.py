@@ -216,8 +216,6 @@ def gr(re=0, im=0) -> GaussianRational:
 # -- scalar-domain helpers (exact GaussianRational or floating complex) --
 
 def to_complex(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
     return complex(x)
 
 

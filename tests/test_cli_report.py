@@ -66,6 +66,13 @@ except homopot.PotentialError as exc:
     print(type(exc).__name__)
 """
 
+DEGREE_10_LINEAR_FORMS = (
+    "500/81*q1^10 - 12050/81*q1^9*q2 + 68615/54*q1^8*q2^2 - 119488/27*q1^7*q2^3"
+    " + 9271727/1728*q1^6*q2^4 - 11396389/3456*q1^5*q2^5 + 24513289/20736*q1^4*q2^6"
+    " - 10756313/41472*q1^3*q2^7 + 158795/4608*q1^2*q2^8 - 3925/1536*q1*q2^9"
+    " + 125/1536*q2^10")
+
+
 def _case(text, outcome, name=None):
     return pytest.param(text, outcome, id=name or text)
 
@@ -76,6 +83,8 @@ def _case(text, outcome, name=None):
     # coefficients beyond double precision: points, or a typed error
     _case(f"q1^3 + {10**200}*q2^3 + q1^2*q2", "3", "q1^3 + 10^200*q2^3 + q1^2*q2"),
     _case(f"q1^3 + {10**400}*q2^3 + q1^2*q2", "DarbouxError", "q1^3 + 10^400*q2^3 + q1^2*q2"),
+    # |s| > 1 puts |W(s)| in doubles far above its exact value at the float s
+    _case(DEGREE_10_LINEAR_FORMS, "3", "degree-10 product of linear forms"),
 ])
 def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
@@ -104,6 +113,20 @@ def test_exact_lambda_where_the_point_is_irrational(capsys, text, lam):
     assert on_axis[0]["lambda"] == lam and on_axis[0]["lambda_exact"]
     assert on_axis[0]["reason"] == "exact rational eigenvalue"
     assert on_axis[0]["status"] == "inadmissible"
+
+
+def test_polar_points_on_exact_directions(capsys):
+    # the critical directions z = +-1, +-i of U = 1 + cos(2 theta)/10 are
+    # exact: the points lie on the axes and lambda = U''/U + k is exact
+    code, out, _ = run_cli(capsys, "analyze", "--json",
+                           (DATA / "corpus" / "04_polar_wave.pot").read_text().strip())
+    assert code == 0
+    js = json.loads(out)
+    assert [[t == 0.0 for t in p["c"]] for p in js["darboux"]["points"]] == \
+        [[False, True], [True, False], [True, False], [False, True]]
+    assert all(p["residual"] == 0.0 for p in js["darboux"]["points"])
+    assert [pv["lambda"] for pv in js["points"]] == ["-37/11", "-23/9", "-23/9", "-37/11"]
+    assert all(pv["reason"] == "exact rational eigenvalue" for pv in js["points"])
 
 
 def test_analyze_rejects_bad_degrees():
@@ -289,6 +312,8 @@ def test_cli_usage_error_exit_code(capsys):
                  ["analyze", "q1^3", "--residual-tol", "1e-9"],
                  ["morales-check", "--k", "3", "--lambda", "1", "--max-denominator", "5"],
                  ["dump-table", "--max-denominator", "5"],
+                 ["analyze", "q1^3", "--max-denominator", "5"],
+                 ["polar-analyze", "--U", "cos(theta)", "--k", "-3", "--max-denominator", "5"],
                  ["analyze", "q1^3", "--timing"],  # --timing needs --json
                  ["batch", str(DATA / "corpus"), "--timing"]):
         with pytest.raises(SystemExit) as exc:

@@ -358,7 +358,7 @@ def test_exact_points_match_the_jet_reference(rng):
         for p in find_darboux_points(V).points:
             if not isinstance(p.spectrum[1], GaussianRational):
                 continue  # a float direction
-            ref = classify(V, p.c, p.direction_multiplicity)
+            ref = classify(V, p.c)
             assert (p.multiple, p.isotropic) == (ref.multiple, ref.isotropic), (V.text(), p.c)
             if p.exact:
                 assert (p.spectrum, p.lambda_cap) == (ref.spectrum, ref.lambda_cap), (V.text(), p.c)
@@ -370,7 +370,8 @@ def test_exact_points_match_the_jet_reference(rng):
 
 
 def test_no_jet_per_direction(monkeypatch):
-    # the polynomial, rational and radial kinds are classified from W alone
+    # the polynomial, rational and radial kinds are classified from W
+    # alone, the polar kind from the roots z of z^M U'
     calls = []
     real_jet_at = potential_module.jet_at
 
@@ -380,7 +381,8 @@ def test_no_jet_per_direction(monkeypatch):
 
     inputs = [parse_potential(t) for t in (
         "q1^2*q2", "q1^3 + 3/2*q1*q2^2 + q2^3", "q2^4 + 2*q1^2*q2^2 + q1^3*q2",
-        "q1^4/q2", "(q1^2 + q2^2)^2", "1/(q1^2+q2^2)", "r^-3")]
+        "q1^4/q2", "(q1^2 + q2^2)^2", "1/(q1^2+q2^2)", "r^-3",
+        "r^-3*(1 + 1/10*cos(2*theta))", "r^-3*(1 + 1/10*cos(3*theta) + 1/20*sin(2*theta))")]
     monkeypatch.setattr(potential_module, "jet_at", counting_jet_at)
     monkeypatch.setattr(darboux_module, "jet_at", counting_jet_at)
     for V in inputs:

@@ -7,10 +7,10 @@ from fractions import Fraction as Q
 import pytest
 
 from homopot import polar
-from homopot.darboux import classify
+from homopot.darboux import classify, find_darboux_points
 from homopot.parse import parse_potential, parse_trig_poly
 from homopot.potential import TrigPoly
-from homopot.scalars import to_complex
+from homopot.scalars import gr, to_complex
 
 
 def U_example():
@@ -21,10 +21,17 @@ def test_critical_points_examples():
     crit = polar.critical_points(U_example())
     expect = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     assert len(crit) == 4
-    assert all(abs(a - b) < 1e-12 for a, b in zip(crit, expect))
+    assert all(abs(p.theta - b) < 1e-12 for p, b in zip(crit, expect))
+    assert [(p.z, p.multiplicity) for p in crit] == [(gr(1), 1), (gr(0, 1), 1),
+                                                     (gr(-1), 1), (gr(0, -1), 1)]
     crit = polar.critical_points(parse_trig_poly("cos(theta)"))
     assert len(crit) == 2
-    assert abs(crit[0] - 0.0) < 1e-12 and abs(crit[1] - math.pi) < 1e-12
+    assert abs(crit[0].theta - 0.0) < 1e-12 and abs(crit[1].theta - math.pi) < 1e-12
+    # an exact z in Q(i) on the unit circle at any angle, a float z elsewhere
+    crit = polar.critical_points(parse_trig_poly("7/25*cos(theta) + 24/25*sin(theta)"))
+    assert [p.z for p in crit] == [gr(Q(7, 25), Q(24, 25)), gr(Q(-7, 25), Q(-24, 25))]
+    crit = polar.critical_points(parse_trig_poly("1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)"))
+    assert crit and all(isinstance(p.z, complex) and abs(abs(p.z) - 1) < 1e-15 for p in crit)
 
 
 def test_constant_U_signals():
@@ -35,16 +42,17 @@ def test_constant_U_signals():
 
 
 def test_select_extremum_cases():
-    assert polar.select_extremum(U_example()) == pytest.approx(0.0, abs=1e-12)
+    assert polar.select_extremum(U_example()).theta == pytest.approx(0.0, abs=1e-12)
     U = parse_trig_poly("-1 + 1/10*cos(2*theta)")
-    assert polar.select_extremum(U) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert polar.select_extremum(parse_trig_poly("cos(theta)")) == pytest.approx(0.0, abs=1e-12)
+    assert polar.select_extremum(U).theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert polar.select_extremum(parse_trig_poly("cos(theta)")).theta == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_select_extremum_zero_max_case():
     # max U = 0 > min U: the rule falls back to the minimum
     U = parse_trig_poly("-1 + cos(2*theta)")
-    th = polar.select_extremum(U)
+    th = polar.select_extremum(U).theta
     assert U.evaluate(th) == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -57,7 +65,7 @@ def test_selected_extremum_guarantees(rng):
                           for m in rng.sample([1, 2, 3], k=1)})
         if U.is_constant() or U.derivative().is_constant():
             continue
-        th = polar.select_extremum(U)
+        th = polar.select_extremum(U).theta
         u = U.evaluate(th)
         du = U.derivative().evaluate(th)
         d2u = U.derivative().derivative().evaluate(th)
@@ -103,37 +111,62 @@ def test_indeterminate_gate():
     assert not v.lam_exact
 
 
+def _angle(p):
+    c0, c1 = to_complex(p.c[0]), to_complex(p.c[1])
+    return math.atan2(c1.real, c0.real) % (2 * math.pi)
+
+
 def test_cartesian_cross_check():
-    # the reconstructed point passes the Darboux classifier with the
+    # the point on the extremal ray passes the jet classifier with the
     # announced spectrum {k(k-1), U''/U + k}
-    U = U_example()
     k = -3
     V = parse_potential("r^-3*(1 + 1/10*cos(2*theta))")
-    th = polar.select_extremum(U)
-    c = polar.darboux_point_from_theta(U, k, th)
-    p = classify(V, c)
-    lam_expected = float(Q(-37, 11))
-    assert abs(to_complex(p.spectrum[0]) - k * (k - 1)) < 1e-8
-    assert abs(to_complex(p.spectrum[1]) - lam_expected) < 1e-8
-    assert not p.multiple
+    th = polar.select_extremum(V.U).theta
+    p = next(p for p in find_darboux_points(V).points if abs(_angle(p) - th) < 1e-12)
+    assert p.spectrum == (gr(k * (k - 1)), gr(Q(-37, 11))) and not p.multiple
+    ref = classify(V, p.c)
+    assert abs(to_complex(ref.spectrum[0]) - k * (k - 1)) < 1e-8
+    assert abs(to_complex(ref.spectrum[1]) - float(Q(-37, 11))) < 1e-8
+    assert not ref.multiple
 
 
-def test_cross_check_all_critical_rays(rng):
-    # every critical angle maps to a Darboux point (not only the extremum)
+def test_cross_check_all_critical_rays():
+    # every critical angle gives a Darboux point (not only the extremum),
+    # with lambda = U''/U + k as the jet at the point reads it
     U = U_example()
     V = parse_potential("r^-3*(1 + 1/10*cos(2*theta))")
-    for th in polar.critical_points(U):
-        c = polar.darboux_point_from_theta(U, -3, th)
-        p = classify(V, c)
-        u = U.evaluate(th)
-        upp = U.derivative().derivative().evaluate(th)
-        assert abs(to_complex(p.spectrum[1]) - (upp / u - 3)) < 1e-8
+    points = find_darboux_points(V).points
+    assert len(points) == len(polar.critical_points(U))
+    for p in points:
+        th = _angle(p)
+        u, upp = U.evaluate(th), U.derivative().derivative().evaluate(th)
+        ref = classify(V, p.c)
+        assert abs(to_complex(ref.spectrum[1]) - (upp / u - 3)) < 1e-8
+        assert abs(to_complex(ref.spectrum[1]) - to_complex(p.spectrum[1])) < 1e-8
 
 
 def test_multiple_iff_second_derivative_zero():
-    U = parse_trig_poly("5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)")
+    # U = 1 - sin^4: U' = -4 sin^3 cos has triple roots at z = +-1, where
+    # U'' = 0; U = 0 at z = +-i leaves no point there
     V = parse_potential("r^-3*(5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta))")
-    th = polar.select_extremum(U)
-    c = polar.darboux_point_from_theta(U, -3, th)
-    p = classify(V, c)
-    assert p.multiple
+    points = find_darboux_points(V).points
+    assert [p.c for p in points] == [(gr(-1), gr(0)), (gr(1), gr(0))]
+    for p in points:
+        assert p.direction_multiplicity == 3 and p.multiple
+        assert p.spectrum[1] == gr(-3)
+        assert classify(V, p.c).multiple
+        assert abs(V.U.derivative().derivative().evaluate(_angle(p))) < 1e-12
+
+
+def test_exact_eigenvalue_on_a_pythagorean_direction():
+    # U = 1 + cos(theta - phi) with e^{i phi} = 7/25 + 24/25 i: the maximum
+    # gives lambda = -5 - 1/2 exactly, the zero of U at phi + pi no point
+    V = parse_potential("r^-5*(1 + 7/25*cos(theta) + 24/25*sin(theta))")
+    (p,) = find_darboux_points(V).points
+    assert p.spectrum[1] == gr(Q(-11, 2)) and p.residual == 0.0
+    c0, c1 = to_complex(p.c[0]), to_complex(p.c[1])
+    assert abs(25 * c0 - 7 * abs(c0 + 1j * c1)) < 1e-12
+    ref = classify(V, p.c)
+    assert abs(to_complex(ref.spectrum[1]) + 5.5) < 1e-9
+    v = polar.analyze_polar(V.U, -5)
+    assert v.lam == Q(-11, 2) and v.lam_exact
