@@ -226,8 +226,12 @@ def cmd_batch(args) -> int:
 
 def cmd_dump_table(args) -> int:
     ks = [args.k] if args.k is not None else [1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    payload = {str(k): [row.to_json() for row in morales.table_rows(k, args.k5_variant)]
-               for k in ks}
+    try:
+        payload = {str(k): [row.to_json() for row in morales.table_rows(k, args.k5_variant)]
+                   for k in ks}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         _dump(payload)
     else:

@@ -273,6 +273,8 @@ class _PolarElem:
         return _PolarElem(out)
 
     def invert(self):
+        if not self.parts:
+            raise ParseError("division by zero expression")
         if len(self.parts) != 1:
             raise ParseError("can only divide by a constant or a pure power of r")
         (p, t), = self.parts.items()
@@ -470,63 +472,38 @@ def _monomial_text(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+def _signed_sum(terms) -> str:
+    """Join (coefficient, factor) pairs as 'a*x - b*y + ...': a rational
+    coefficient's sign merges into the join and a unit one is dropped
+    before its factor; a complex one stays parenthesized."""
+    out = ""
+    for v, factor in terms:
+        text, mergeable = _coef_text(v)
+        sign = "+"
+        if mergeable and text.startswith("-"):
+            sign, text = "-", text[1:]
+        if factor:
+            text = factor if mergeable and text == "1" else f"{text}*{factor}"
+        if not out:
+            out = text if sign == "+" else f"-{text}"
+        else:
+            out += f" {sign} {text}"
+    return out
+
+
 def _poly_text(p: HomoPoly) -> str:
     if not p.exact:
         raise PotentialError("canonical text requires exact coefficients")
     items = sorted(p.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-    chunks = []
-    for (i, j), v in items:
-        mono = _monomial_text(i, j)
-        text, mergeable = _coef_text(v)
-        if mergeable:
-            neg = text.startswith("-")
-            mag = text[1:] if neg else text
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = mag
-            chunks.append(("-" if neg else "+", body))
-        else:
-            body = f"{text}*{mono}" if mono else text
-            chunks.append(("+", body))
-    out = ""
-    for sign, body in chunks:
-        if not out:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out
+    return _signed_sum((v, _monomial_text(i, j)) for (i, j), v in items)
 
 
 def _trig_text(U: TrigPoly) -> str:
-    chunks = []
-    if not U.const.is_zero():
-        text, mergeable = _coef_text(U.const)
-        if mergeable and text.startswith("-"):
-            chunks.append(("-", text[1:]))
-        else:
-            chunks.append(("+", text))
-    for kind in ("cos", "sin"):
-        table = U.cos if kind == "cos" else U.sin
-        for m in sorted(table):
-            fn = f"{kind}({m}*theta)" if m != 1 else f"{kind}(theta)"
-            text, mergeable = _coef_text(table[m])
-            if mergeable:
-                neg = text.startswith("-")
-                mag = text[1:] if neg else text
-                body = fn if mag == "1" else f"{mag}*{fn}"
-                chunks.append(("-" if neg else "+", body))
-            else:
-                chunks.append(("+", f"{text}*{fn}"))
-    out = ""
-    for sign, body in chunks:
-        if not out:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out or "0"
+    terms = [] if U.const.is_zero() else [(U.const, "")]
+    for kind, table in (("cos", U.cos), ("sin", U.sin)):
+        terms += [(v, f"{kind}({m}*theta)" if m != 1 else f"{kind}(theta)")
+                  for m, v in sorted(table.items())]
+    return _signed_sum(terms) or "0"
 
 
 def print_potential(V: Potential) -> str:

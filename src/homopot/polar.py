@@ -1,16 +1,17 @@
 """Classification pipeline for real-analytic potentials V = r^k U(theta).
 
 Every critical point theta0 of U with U(theta0) != 0 gives a Darboux
-point of V with spectrum {k(k-1), U''(theta0)/U(theta0) + k}.  With
-z = e^{i theta}, a trig polynomial T of top frequency M is P(z)/z^M for
-the polynomial P = z^M T (`_z_poly`).  The critical points are the roots
-of z^M U' on the unit circle, with their exact multiplicities, and U and
-U'' share M, so lambda = k + P_U''(z)/P_U(z) is exact whenever z is in
-Q(i), at any angle.  Choosing the extremum by the sign pattern of
-max U / min U guarantees U(theta0) != 0 and a second eigenvalue <= k,
-which for negative k pins the verdict: either the eigenvalue is
-inadmissible (not integrable), or it equals k and the point is multiple
-(only the rotation-invariant potential survives).  Degree -2 is
+point of V with spectrum {k(k-1), U''(theta0)/U(theta0) + k}.  A
+`TrigPoly` T of top frequency M holds its Laurent coefficients in
+z = e^{i theta}, so T = P(z)/z^M for the polynomial P = `T.z_poly()`.
+The critical points are the roots of z^M U' on the unit circle, with
+their exact multiplicities, and U and U'' share M, so
+lambda = k + P_U''(z)/P_U(z) is exact whenever z is in Q(i), at any
+angle.  Choosing the extremum by the sign pattern of max U / min U
+guarantees U(theta0) != 0 and a second eigenvalue <= k, which for
+negative k pins the verdict: either the eigenvalue is inadmissible (not
+integrable), or it equals k and the point is multiple (only the
+rotation-invariant potential survives).  Degree -2 is
 unconditionally integrable."""
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import morales
 from .potential import PotentialError, TrigPoly
 from .scalars import GaussianRational, to_complex
-from .upoly import UPoly, roots
-
-Q = Fraction
+from .upoly import roots
 
 RADIAL_INTEGRABLE = "radial_integrable"
 DEGREE_MINUS_TWO = "degree_minus_two_integrable"
@@ -39,22 +37,6 @@ CRITICAL_RESIDUAL_TOL = 1e-10
 
 class PolarError(PotentialError):
     pass
-
-
-def _z_poly(T: TrigPoly) -> UPoly:
-    """z^M * T(theta) with z = e^{i theta}, as a polynomial in z."""
-    M = T.max_frequency()
-    coeffs = [GaussianRational(0)] * (2 * M + 1)
-    coeffs[M] = coeffs[M] + T.const
-    half = Q(1, 2)
-    for m, a in T.cos.items():
-        coeffs[M + m] = coeffs[M + m] + a * half
-        coeffs[M - m] = coeffs[M - m] + a * half
-    for m, b in T.sin.items():
-        # sin(m t) = (z^m - z^-m)/(2i) = -i/2 z^m + i/2 z^-m
-        coeffs[M + m] = coeffs[M + m] + b * GaussianRational(0, -half)
-        coeffs[M - m] = coeffs[M - m] + b * GaussianRational(0, half)
-    return UPoly(coeffs)
 
 
 class CriticalPoint(NamedTuple):
@@ -75,7 +57,7 @@ def critical_points(U: TrigPoly) -> list:
     if dU.is_constant():
         raise PolarError("U is constant: every angle is critical (radial case)")
     out = []
-    for root in roots(_z_poly(dU)):
+    for root in roots(dU.z_poly()):
         z = root.value
         if not (z.norm2() == 1 if root.exact else abs(abs(z) - 1.0) <= 1e-8):
             continue
@@ -91,14 +73,14 @@ def critical_points(U: TrigPoly) -> list:
 def value_at(T: TrigPoly, z):
     """T(theta) at z = e^{i theta} on the unit circle, from z^M T: exact
     when z is in Q(i), else a float; real when T is."""
-    w = _z_poly(T)(z) / z ** T.max_frequency()
+    w = T.z_poly()(z) / z ** T.max_frequency()
     return w if isinstance(w, GaussianRational) else w.real
 
 
 def eigenvalue_at(U: TrigPoly, k: int, z):
     """lambda = U''(theta)/U(theta) + k at z = e^{i theta}; U and U'' share
     the factor z^M, so lambda is exact when z is in Q(i)."""
-    lam = k + _z_poly(U.derivative().derivative())(z) / _z_poly(U)(z)
+    lam = k + U.derivative().derivative().z_poly()(z) / U.z_poly()(z)
     return lam if isinstance(lam, GaussianRational) else lam.real
 
 

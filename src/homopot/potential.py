@@ -7,6 +7,12 @@ Four kinds are supported:
 * radial          V = a (q1^2+q2^2)^(k/2)
 * polar           V = r^k U(theta), U a trigonometric polynomial
 
+U is stored only as its Laurent coefficients c_j in z = e^{i theta}
+(`TrigPoly`): a product is a convolution, d/dtheta maps c_j to i j c_j,
+a rotation by delta to c_j e^{i j delta}, and theta -> -theta to c_-j.
+The polar jet is sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), and
+`TrigPoly.z_poly` is the polynomial z^M U whose roots `polar` takes.
+
 Coefficients are Gaussian rationals; rigid transforms and Darboux
 normalization can push a potential onto a floating-point (complex)
 coefficient path, tracked by the `exact` flag.  Taylor jets at a point
@@ -22,6 +28,7 @@ from typing import Optional
 
 from .scalars import GaussianRational, scalar_is_zero, to_complex
 from .series import Jet2, TaylorJet
+from .upoly import UPoly
 
 POLYNOMIAL = "polynomial"
 RATIONAL = "rational"
@@ -128,7 +135,6 @@ class HomoPoly:
 
     def restrict_line(self) -> "object":
         """p(s) = V(1, s) as a univariate polynomial (exact kinds only)."""
-        from .upoly import UPoly
         if not self.exact:
             raise PotentialError("line restriction requires exact coefficients")
         coeffs = [GaussianRational(0)] * (self.degree + 1)
@@ -171,53 +177,76 @@ def _dict_mul(a: dict, b: dict, exact: bool = True) -> dict:
     return out
 
 
-# -- harmonic building blocks for the polar kind -----------------------
+# -- the angular part of the polar kind ---------------------------------
 
-def harmonic_pair(m: int):
-    """(Re (q1+i q2)^m, Im (q1+i q2)^m) as integer-coefficient HomoPolys."""
-    re_terms, im_terms = {}, {}
-    from math import comb
-    for t in range(m + 1):
-        coef = comb(m, t)
-        r = t % 4  # i^t cycles through 1, i, -1, -i
-        tgt = re_terms if r in (0, 2) else im_terms
-        sgn = -1 if r in (2, 3) else 1
-        key = (m - t, t)
-        tgt[key] = tgt.get(key, GaussianRational(0)) + GaussianRational(sgn * coef)
-    return HomoPoly(m, re_terms), HomoPoly(m, im_terms)
+_ZERO = GaussianRational(0)
+_I = GaussianRational(0, 1)
 
 
 class TrigPoly:
-    """Finite trigonometric polynomial a0 + sum a_m cos(m t) + b_m sin(m t).
+    """Finite trigonometric polynomial T(t) = sum_j c_j z^j, z = e^{it}.
 
-    Coefficients are Gaussian rationals; the polar analysis pipeline
-    additionally requires them to be real (checked by callers).
+    The Laurent coefficients c_j (|j| <= M, zeros dropped) are the only
+    stored data.  The constructor and the views `const`, `cos` and `sin`
+    speak the real form a0 + sum a_m cos(m t) + b_m sin(m t), with
+    c_(+-m) = (a_m -+ i b_m)/2.  Coefficients are Gaussian rationals; the
+    polar analysis pipeline additionally requires T to be real (checked by
+    callers).
     """
 
-    __slots__ = ("const", "cos", "sin")
+    __slots__ = ("coeffs",)
 
     def __init__(self, const=0, cos=None, sin=None):
-        self.const = GaussianRational.coerce(const) if not isinstance(const, GaussianRational) else const
-        self.cos = {int(m): GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v
-                    for m, v in (cos or {}).items() if not scalar_is_zero(GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v)}
-        self.sin = {int(m): GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v
-                    for m, v in (sin or {}).items() if not scalar_is_zero(GaussianRational.coerce(v) if not isinstance(v, GaussianRational) else v)}
-        if any(m <= 0 for m in self.cos) or any(m <= 0 for m in self.sin):
-            raise PotentialError("trig frequencies must be positive integers")
+        half = GaussianRational(Fraction(1, 2))
+        c = {0: GaussianRational.coerce(const)}
+        for table, rot in ((cos, half), (sin, -half * _I)):
+            for m, v in (table or {}).items():
+                if m <= 0:
+                    raise PotentialError("trig frequencies must be positive integers")
+                v = GaussianRational.coerce(v)
+                c[m] = c.get(m, _ZERO) + v * rot
+                c[-m] = c.get(-m, _ZERO) + v * rot.conjugate()
+        self.coeffs = {j: v for j, v in c.items() if not v.is_zero()}
+
+    @classmethod
+    def _laurent(cls, coeffs: dict) -> "TrigPoly":
+        T = cls.__new__(cls)
+        T.coeffs = {j: v for j, v in coeffs.items() if not v.is_zero()}
+        return T
+
+    @property
+    def const(self) -> GaussianRational:
+        return self.coeffs.get(0, _ZERO)
+
+    @property
+    def cos(self) -> dict:
+        """{m: a_m} with a_m = c_m + c_-m."""
+        return self._view(lambda p, n: p + n)
+
+    @property
+    def sin(self) -> dict:
+        """{m: b_m} with b_m = i (c_m - c_-m)."""
+        return self._view(lambda p, n: (p - n) * _I)
+
+    def _view(self, f) -> dict:
+        out = {}
+        for m in sorted({abs(j) for j in self.coeffs} - {0}):
+            v = f(self.coeffs.get(m, _ZERO), self.coeffs.get(-m, _ZERO))
+            if not v.is_zero():
+                out[m] = v
+        return out
 
     def is_constant(self) -> bool:
-        return not self.cos and not self.sin
+        return set(self.coeffs) <= {0}
 
     def is_real(self) -> bool:
-        return (self.const.is_real() and all(v.is_real() for v in self.cos.values())
-                and all(v.is_real() for v in self.sin.values()))
+        return all(self.coeffs.get(-j, _ZERO) == v.conjugate() for j, v in self.coeffs.items())
 
     def max_frequency(self) -> int:
-        return max([0] + list(self.cos) + list(self.sin))
+        return max((abs(j) for j in self.coeffs), default=0)
 
     def __eq__(self, other):
-        return (isinstance(other, TrigPoly) and self.const == other.const
-                and self.cos == other.cos and self.sin == other.sin)
+        return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
 
     def evaluate(self, theta: float) -> float:
         import math
@@ -228,104 +257,52 @@ class TrigPoly:
             acc += complex(v) * math.sin(m * theta)
         return acc.real if abs(acc.imag) < 1e-300 else acc
 
+    def z_poly(self) -> UPoly:
+        """z^M T as a polynomial in z, M = max_frequency()."""
+        M = self.max_frequency()
+        return UPoly([self.coeffs.get(j - M, _ZERO) for j in range(2 * M + 1)])
+
     def derivative(self) -> "TrigPoly":
-        # d/dt cos(mt) = -m sin(mt);  d/dt sin(mt) = m cos(mt)
-        return TrigPoly(0,
-                        cos={m: v * m for m, v in self.sin.items()},
-                        sin={m: -(v * m) for m, v in self.cos.items()})
+        return TrigPoly._laurent({j: v * GaussianRational(0, j) for j, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             other = TrigPoly(other)
-        cos = dict(self.cos)
-        for m, v in other.cos.items():
-            cos[m] = cos.get(m, GaussianRational(0)) + v
-        sin = dict(self.sin)
-        for m, v in other.sin.items():
-            sin[m] = sin.get(m, GaussianRational(0)) + v
-        return TrigPoly(self.const + other.const, cos, sin)
+        out = dict(self.coeffs)
+        for j, v in other.coeffs.items():
+            out[j] = out.get(j, _ZERO) + v
+        return TrigPoly._laurent(out)
 
     def __neg__(self):
-        return TrigPoly(-self.const, {m: -v for m, v in self.cos.items()},
-                        {m: -v for m, v in self.sin.items()})
+        return TrigPoly._laurent({j: -v for j, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
-            other = TrigPoly(other)
         return self + (-other)
 
     def scale(self, s) -> "TrigPoly":
-        g = s if isinstance(s, GaussianRational) else GaussianRational.coerce(s)
-        return TrigPoly(self.const * g, {m: v * g for m, v in self.cos.items()},
-                        {m: v * g for m, v in self.sin.items()})
+        g = GaussianRational.coerce(s)
+        return TrigPoly._laurent({j: v * g for j, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        """Product via product-to-sum identities; stays a trig polynomial."""
+        """Laurent convolution; a scalar factor scales."""
         if not isinstance(other, TrigPoly):
             return self.scale(other)
-        out = TrigPoly(self.const * other.const)
-        half = Fraction(1, 2)
-
-        def add_cos(t, m, v):
-            if scalar_is_zero(v):
-                return t
-            if m == 0:
-                return t + TrigPoly(v)
-            m = abs(m)
-            return t + TrigPoly(0, cos={m: v})
-
-        def add_sin(t, m, v):
-            if scalar_is_zero(v) or m == 0:
-                return t
-            if m < 0:
-                m, v = -m, -v
-            return t + TrigPoly(0, sin={m: v})
-
-        out = out + TrigPoly(0, {m: v * self.const for m, v in other.cos.items()},
-                             {m: v * self.const for m, v in other.sin.items()})
-        out = out + TrigPoly(0, {m: v * other.const for m, v in self.cos.items()},
-                             {m: v * other.const for m, v in self.sin.items()})
-        for m1, a1 in self.cos.items():
-            for m2, a2 in other.cos.items():
-                v = a1 * a2 * half
-                out = add_cos(out, m1 - m2, v)
-                out = add_cos(out, m1 + m2, v)
-            for m2, b2 in other.sin.items():
-                v = a1 * b2 * half
-                out = add_sin(out, m1 + m2, v)
-                out = add_sin(out, m2 - m1, v)
-        for m1, b1 in self.sin.items():
-            for m2, a2 in other.cos.items():
-                v = b1 * a2 * half
-                out = add_sin(out, m1 + m2, v)
-                out = add_sin(out, m1 - m2, v)
-            for m2, b2 in other.sin.items():
-                v = b1 * b2 * half
-                out = add_cos(out, m1 - m2, v)
-                out = add_cos(out, m1 + m2, -v)
-        return out
+        out = {}
+        for j1, v1 in self.coeffs.items():
+            for j2, v2 in other.coeffs.items():
+                out[j1 + j2] = out.get(j1 + j2, _ZERO) + v1 * v2
+        return TrigPoly._laurent(out)
 
     def shift(self, cos_d: GaussianRational, sin_d: GaussianRational) -> "TrigPoly":
-        """U(theta + d) given cos d and sin d (exact complex rotation allowed)."""
-        cm, sm = {}, {}  # cos(m d), sin(m d) via the angle-addition recurrence
-        cm[0], sm[0] = GaussianRational(1), GaussianRational(0)
-        M = self.max_frequency()
-        for m in range(1, M + 1):
-            cm[m] = cm[m - 1] * cos_d - sm[m - 1] * sin_d
-            sm[m] = sm[m - 1] * cos_d + cm[m - 1] * sin_d
-        cos, sin = {}, {}
-        for m, a in self.cos.items():
-            # cos(m(theta+d)) = cos cos - sin sin
-            cos[m] = cos.get(m, GaussianRational(0)) + a * cm[m]
-            sin[m] = sin.get(m, GaussianRational(0)) - a * sm[m]
-        for m, b in self.sin.items():
-            sin[m] = sin.get(m, GaussianRational(0)) + b * cm[m]
-            cos[m] = cos.get(m, GaussianRational(0)) + b * sm[m]
-        return TrigPoly(self.const, cos, sin)
+        """U(theta + d) given cos d and sin d (exact complex rotation allowed):
+        c_j -> c_j w^j with w = cos d + i sin d, and w^-1 = cos d - i sin d."""
+        w = {1: cos_d + _I * sin_d, -1: cos_d - _I * sin_d}
+        return TrigPoly._laurent({j: v * w[1 if j > 0 else -1] ** abs(j)
+                                  for j, v in self.coeffs.items()})
 
     def flip(self) -> "TrigPoly":
         """U(-theta)."""
-        return TrigPoly(self.const, dict(self.cos), {m: -v for m, v in self.sin.items()})
+        return TrigPoly._laurent({-j: v for j, v in self.coeffs.items()})
 
     def __repr__(self):
         return f"TrigPoly(const={self.const}, cos={len(self.cos)}, sin={len(self.sin)})"
@@ -439,26 +416,19 @@ def _radial_series(c, order: int, exact: bool, half_power: Fraction) -> Jet2:
 
 
 def _polar_series(U: TrigPoly, k: int, c, order: int, exact: bool) -> Jet2:
-    acc = None
-    if not scalar_is_zero(U.const):
-        acc = _radial_series(c, order, exact, Fraction(k, 2)).scale(U.const)
-    for m in sorted(set(U.cos) | set(U.sin)):
-        re_m, im_m = harmonic_pair(m)
-        part = None
-        av = U.cos.get(m)
-        bv = U.sin.get(m)
-        if av is not None and not scalar_is_zero(av):
-            part = re_m.jet(c, order, exact).scale(av)
-        if bv is not None and not scalar_is_zero(bv):
-            t = im_m.jet(c, order, exact).scale(bv)
-            part = t if part is None else part + t
-        if part is None:
-            continue
-        radial = _radial_series(c, order, exact, Fraction(k - m, 2))
-        term = part * radial
-        acc = term if acc is None else acc + term
-    if acc is None:
+    """sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), since r z^(+-1) = q1 +- i q2."""
+    if not U.coeffs:
         raise PotentialError("polar potential with identically zero angular part")
+    jx = Jet2.variable(0, c[0], order, exact)
+    iy = Jet2.variable(1, c[1], order, exact).scale(_I)
+    parts = {}
+    for j, v in sorted(U.coeffs.items(), reverse=True):
+        t = (jx + iy if j > 0 else jx - iy).pow_int(abs(j)).scale(v)
+        parts[abs(j)] = parts[abs(j)] + t if abs(j) in parts else t
+    acc = None
+    for m, part in sorted(parts.items()):
+        term = part * _radial_series(c, order, exact, Fraction(k - m, 2))
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -517,7 +487,8 @@ def _transform_polar(V: Potential, R, scale_g) -> Potential:
         # rotation by delta with cos = a, sin = c: angle shifts by +delta
         U2 = U.shift(a, c)
     elif det == GaussianRational(-1):
-        U2 = U.flip().shift(a, c)
+        # reflection across the line at angle delta/2: theta -> delta - theta
+        U2 = U.shift(a, c).flip()
     else:
         raise PotentialError("orthogonal matrix with determinant != +-1")
     if not isinstance(scale_g, GaussianRational):

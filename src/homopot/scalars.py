@@ -10,6 +10,7 @@ agnostic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 Q = Fraction  # short alias used heavily in table data and tests
 
@@ -18,16 +19,18 @@ def integer_nth_root(n: int, r: int):
     """Exact r-th root of a nonnegative integer, or None."""
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    lo, hi = 0, 1 << ((n.bit_length() // r) + 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**r < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**r == n else None
+    if r == 2:
+        root = isqrt(n)
+    else:
+        lo, hi = 0, 1 << ((n.bit_length() // r) + 2)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid**r < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        root = lo
+    return root if root**r == n else None
 
 
 def rational_nth_root(x: Fraction, r: int):
@@ -35,7 +38,6 @@ def rational_nth_root(x: Fraction, r: int):
 
     Negative x is allowed for odd r.
     """
-    x = Fraction(x)
     sign = 1
     if x < 0:
         if r % 2 == 0:

@@ -11,6 +11,7 @@ import pytest
 
 import homopot
 from homopot.cli import main
+from homopot.potential import potential_from_json
 from homopot.report import (analyze, batch, report_json_text,
                             NON_INTEGRABLE, PASSES, RADIAL_CANDIDATE)
 
@@ -162,6 +163,17 @@ def test_batch_golden_corpus():
     assert result.summary_csv() == golden
 
 
+def test_corpus_json_reports_are_golden():
+    """`analyze --json` of each corpus file, byte for byte."""
+    corpus = sorted((DATA / "corpus").iterdir())
+    assert [p.stem for p in corpus] == sorted(p.stem for p in (DATA / "golden_json").iterdir())
+    for path in corpus:
+        text = path.read_text().strip()
+        source = potential_from_json(json.loads(text)) if path.suffix == ".json" else text
+        golden = (DATA / "golden_json" / f"{path.stem}.json").read_text()
+        assert report_json_text(analyze(source)) == golden, path.name
+
+
 def test_batch_empty_dir(tmp_path):
     result = batch(tmp_path)
     assert result.exit_code == 0
@@ -304,6 +316,8 @@ def test_cli_dump_table(capsys):
     js = json.loads(out)
     assert len(js["-3"]) == 6
     assert js["-3"][0]["row"] == "family 1"
+    code, out, err = run_cli(capsys, "dump-table", "--k", "0")
+    assert (code, out, err) == (1, "", "error: degree k = 0 has no table\n")
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from homopot.parse import ParseError, parse_potential, print_potential
+from homopot.parse import ParseError, parse_potential, parse_trig_poly, print_potential
 from homopot.potential import (HomoPoly, Potential, PotentialError,
                                SingularPointError, TrigPoly, euler_defect,
                                jet_at, potential_from_json, potential_to_json,
@@ -90,6 +90,11 @@ def test_parse_errors():
         parse_potential("r^-3 + q1")
     with pytest.raises(ParseError):
         parse_potential("cos(theta^2)*r^2")
+    for parse, text in ((parse_potential, "q1^3/0"), (parse_potential, "r^-3/0"),
+                        (parse_potential, "r^-3/(cos(theta)-cos(theta))"),
+                        (parse_trig_poly, "1/0")):
+        with pytest.raises(ParseError, match="^division by zero expression$"):
+            parse(text)
 
 
 def test_implicit_multiplication():
@@ -118,6 +123,53 @@ def test_json_roundtrip(rng):
 
 
 # -- jets ----------------------------------------------------------------------
+
+def test_trig_poly_matches_the_cos_sin_form():
+    """Each TrigPoly operation against the float cos/sin form of its inputs."""
+    rng = random.Random(20261018)
+
+    def rand_coef():
+        im = rand_fraction(rng) if rng.random() < 0.2 else 0
+        return GaussianRational(rand_fraction(rng), im)
+
+    def rand_parts():
+        cos = {m: rand_coef() for m in range(1, 5) if rng.random() < 0.5}
+        sin = {m: rand_coef() for m in range(1, 5) if rng.random() < 0.5}
+        sin[rng.randint(1, 4)] = GaussianRational(rng.choice((-3, -1, 1, 2)))  # sin*sin
+        return rand_coef(), cos, sin
+
+    def value(parts, th, order=0):
+        """d^order/dth^order of const + sum a_m cos(m th) + b_m sin(m th)."""
+        const, cos, sin = parts
+        acc = complex(const) if order == 0 else 0j
+        for m, a in cos.items():
+            acc += complex(a) * m**order * math.cos(m * th + order * math.pi / 2)
+        for m, b in sin.items():
+            acc += complex(b) * m**order * math.sin(m * th + order * math.pi / 2)
+        return acc
+
+    delta = math.atan2(4, 3)
+    for _ in range(40):
+        pu, pv = rand_parts(), rand_parts()
+        U, V = TrigPoly(*pu), TrigPoly(*pv)
+        const, cos, sin = pu
+        nonzero = lambda d: {m: v for m, v in d.items() if not v.is_zero()}
+        assert (U.const, U.cos, U.sin) == (const, nonzero(cos), nonzero(sin))
+        assert U.is_real() == all(v.is_real() for v in [const, *cos.values(), *sin.values()])
+        M = U.max_frequency()
+        assert U.z_poly().degree <= 2 * M
+        for th in (0.0, 0.3, 1.1, 2.5, -0.7, 4.0):
+            z = complex(math.cos(th), math.sin(th))
+            checks = [
+                ((U * V).evaluate(th), value(pu, th) * value(pv, th)),
+                (U.derivative().evaluate(th), value(pu, th, order=1)),
+                (U.shift(Fraction(3, 5), Fraction(4, 5)).evaluate(th), value(pu, th + delta)),
+                (U.flip().evaluate(th), value(pu, -th)),
+                (U.z_poly()(z) / z**M, value(pu, th)),
+            ]
+            for got, want in checks:
+                assert abs(complex(got) - want) < 1e-12 * max(1.0, abs(want)), (th, got, want)
+
 
 def test_jet_cubic_axis():
     V = parse_potential("q1^3")
@@ -288,13 +340,18 @@ def test_transform_composition(rng):
 
 
 def test_transform_polar_rotation():
-    V = parse_potential("r^-3*(1 + 1/10*cos(2*theta))")
-    Vt = transform(V, PYTH, 1)
-    # pointwise: Vt(q) = V(R q)
-    x, y = 0.9, 0.4
-    Rx = 3 / 5 * x - 4 / 5 * y
-    Ry = 4 / 5 * x + 3 / 5 * y
-    assert abs(complex(Vt(x, y)) - complex(V(Rx, Ry))) < 1e-12
+    # a rotation (det 1: `shift`) and a reflection (det -1: `shift`, then
+    # `flip`), the latter on a U that is not even in theta
+    reflection = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(-3, 5)))
+    for text, R in (("r^-3*(1 + 1/10*cos(2*theta))", PYTH),
+                    ("r^-3*(1 + 1/10*cos(2*theta) + 1/5*sin(theta))", reflection)):
+        V = parse_potential(text)
+        Vt = transform(V, R, 1)
+        # pointwise: Vt(q) = V(R q)
+        x, y = 0.9, 0.4
+        Rx = float(R[0][0]) * x + float(R[0][1]) * y
+        Ry = float(R[1][0]) * x + float(R[1][1]) * y
+        assert abs(complex(Vt(x, y)) - complex(V(Rx, Ry))) < 1e-12
 
 
 def test_degree_zero_denominator_guard():

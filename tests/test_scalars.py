@@ -47,6 +47,15 @@ def test_integer_nth_root():
     assert integer_nth_root(32, 5) == 2
     assert integer_nth_root(31, 5) is None
     assert integer_nth_root(10**30, 3) == 10**10
+    for r in (2, 3, 5):
+        assert integer_nth_root(0, r) == 0
+        assert integer_nth_root(1, r) == 1
+        assert integer_nth_root(10**40 + 1, r) is None
+    assert integer_nth_root(10**40, 2) == 10**20
+    assert integer_nth_root(10**40, 5) == 10**8
+    assert integer_nth_root(10**40, 3) is None
+    assert integer_nth_root((2**200 + 1)**2, 2) == 2**200 + 1
+    assert integer_nth_root((2**200 + 1)**2 + 1, 2) is None
 
 
 def test_rational_roots():
