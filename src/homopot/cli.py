@@ -162,6 +162,8 @@ def cmd_g_verdict(args) -> int:
 
 def cmd_ve_build(args) -> int:
     try:
+        if args.level < 1:  # checked before the jet of that order is taken
+            raise ValueError("level must be >= 1")
         V = parse_potential(args.potential)
         dset = find_darboux_points(V)
         candidates = [p for p in dset.points if not p.isotropic]
@@ -176,11 +178,7 @@ def cmd_ve_build(args) -> int:
         if args.lam is not None:
             lam = parse_rational(args.lam)
         elif isinstance(point.spectrum[1], GaussianRational) and point.spectrum[1].is_real():
-            lam = point.spectrum[1].re
-        else:
-            z = complex(point.spectrum[1])
-            if abs(z.imag) < 1e-9:
-                lam = morales.reconstruct_rational(z.real, 10**6)
+            lam = point.spectrum[1].re  # else lambda stays the symbol lam
         system = build_higher_ve(jet if jet.exact else None, args.level, V.degree,
                                  lam=lam)
     except (PotentialError, DarbouxError, ValueError) as exc:

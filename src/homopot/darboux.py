@@ -38,7 +38,7 @@ from typing import Optional
 from .polar import critical_points, eigenvalue_at, value_at
 from .potential import (HomoPoly, Potential, PotentialError, jet_at, transform,
                         rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
-from .scalars import GaussianRational, rational_nth_root, scalar_is_zero, to_complex
+from .scalars import GaussianRational, is_exact, rational_nth_root, scalar_is_zero, to_complex
 from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
@@ -188,7 +188,7 @@ def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -
         spectrum, cap = (complex(kk1), lam), lam.real if real else float("-inf")
     return DarbouxPoint(c=c, spectrum=spectrum, multiple=multiple, isotropic=iso,
                         direction_multiplicity=m, lambda_cap=cap, residual=residual,
-                        exact=all(isinstance(t, GaussianRational) for t in c))
+                        exact=is_exact(c))
 
 
 def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,

@@ -492,8 +492,6 @@ def _signed_sum(terms) -> str:
 
 
 def _poly_text(p: HomoPoly) -> str:
-    if not p.exact:
-        raise PotentialError("canonical text requires exact coefficients")
     items = sorted(p.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
     return _signed_sum((v, _monomial_text(i, j)) for (i, j), v in items)
 
@@ -508,6 +506,8 @@ def _trig_text(U: TrigPoly) -> str:
 
 def print_potential(V: Potential) -> str:
     """Canonical text form; parse_potential(print_potential(V)) == V."""
+    if not V.exact:
+        raise PotentialError("canonical text requires exact coefficients")
     if V.kind == POLYNOMIAL:
         return _poly_text(V.poly)
     if V.kind == RATIONAL:

@@ -13,20 +13,22 @@ a rotation by delta to c_j e^{i j delta}, and theta -> -theta to c_-j.
 The polar jet is sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), and
 `TrigPoly.z_poly` is the polynomial z^M U whose roots `polar` takes.
 
-Coefficients are Gaussian rationals; rigid transforms and Darboux
-normalization can push a potential onto a floating-point (complex)
-coefficient path, tracked by the `exact` flag.  Taylor jets at a point
-are produced by truncated series arithmetic (see series.py), never by
-repeated symbolic differentiation.
+Coefficients are scalars (see scalars.py): parsed potentials have exact
+Gaussian-rational coefficients, and a rigid transform or Darboux
+normalization by an irrational rotation or scale gives complex ones.
+`exact` is read off the coefficients, never stored.  Taylor jets at a
+point are produced by truncated series arithmetic (see series.py), never
+by repeated symbolic differentiation.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import GaussianRational, scalar_is_zero, to_complex
+from .scalars import GaussianRational, is_exact, scalar, scalar_is_zero, to_complex
 from .series import Jet2, TaylorJet
 from .upoly import UPoly
 
@@ -44,10 +46,9 @@ class SingularPointError(PotentialError):
     """The potential is not defined (or not smooth) at the requested point."""
 
 
-def _coerce_coeff(v, exact: bool):
-    if exact:
-        return v if isinstance(v, GaussianRational) else GaussianRational(v)
-    return to_complex(v)
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
+_I = GaussianRational(0, 1)
 
 
 class HomoPoly:
@@ -57,20 +58,23 @@ class HomoPoly:
     nonzero coefficient.
     """
 
-    __slots__ = ("degree", "terms", "exact")
+    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: dict, exact: bool = True):
+    def __init__(self, degree: int, terms: dict):
         self.degree = int(degree)
-        self.exact = exact
         clean = {}
         for (i, j), v in terms.items():
             if i < 0 or j < 0 or i + j != self.degree:
                 raise PotentialError(
                     f"exponent pair ({i},{j}) does not match degree {self.degree}")
-            v = _coerce_coeff(v, exact)
-            if not scalar_is_zero(v):
+            v = scalar(v)
+            if v:
                 clean[(i, j)] = v
         self.terms = clean
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.terms.values())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -80,74 +84,54 @@ class HomoPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items()) if self.exact else None))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def evaluate(self, x, y):
-        exact_pt = all(isinstance(t, (int, Fraction, GaussianRational)) for t in (x, y))
-        if self.exact and exact_pt:
-            x = GaussianRational.coerce(x)
-            y = GaussianRational.coerce(y)
-            acc = GaussianRational(0)
-            for (i, j), v in self.terms.items():
-                acc = acc + v * x**i * y**j
-            return acc
-        xc, yc = to_complex(x), to_complex(y)
-        acc = 0j
+        x, y = scalar(x), scalar(y)
+        acc = _ZERO
         for (i, j), v in self.terms.items():
-            acc += to_complex(v) * xc**i * yc**j
+            acc = acc + v * x**i * y**j
         return acc
 
     def partial(self, axis: int) -> "HomoPoly":
         out = {}
         for (i, j), v in self.terms.items():
-            if axis == 0 and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), _zero(self.exact)) + v * i
-            if axis == 1 and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), _zero(self.exact)) + v * j
-        return HomoPoly(max(self.degree - 1, 0), out, self.exact)
+            e = (i, j)[axis]
+            if e:
+                out[(i - 1, j) if axis == 0 else (i, j - 1)] = v * e
+        return HomoPoly(max(self.degree - 1, 0), out)
 
     def scale(self, s) -> "HomoPoly":
-        if self.exact and isinstance(s, (int, Fraction, GaussianRational)):
-            g = GaussianRational.coerce(s) if not isinstance(s, GaussianRational) else s
-            return HomoPoly(self.degree, {k: v * g for k, v in self.terms.items()}, True)
-        sc = to_complex(s)
-        return HomoPoly(self.degree, {k: to_complex(v) * sc for k, v in self.terms.items()}, False)
+        s = scalar(s)
+        return HomoPoly(self.degree, {k: v * s for k, v in self.terms.items()})
 
     def substitute_linear(self, R) -> "HomoPoly":
         """V(R q) for a 2x2 matrix R; stays homogeneous of the same degree."""
-        exact = self.exact and all(
-            isinstance(e, (int, Fraction, GaussianRational)) for row in R for e in row)
-        a, b = R[0]
-        c, d = R[1]
-        lin1 = {(1, 0): _coerce_coeff(a, exact), (0, 1): _coerce_coeff(b, exact)}
-        lin2 = {(1, 0): _coerce_coeff(c, exact), (0, 1): _coerce_coeff(d, exact)}
+        lin1, lin2 = ({(1, 0): scalar(row[0]), (0, 1): scalar(row[1])} for row in R)
         out = {}
         for (i, j), v in self.terms.items():
-            mono = {(0, 0): _coerce_coeff(1, exact)}
+            mono = {(0, 0): _ONE}
             for _ in range(i):
-                mono = _dict_mul(mono, lin1, exact)
+                mono = _dict_mul(mono, lin1)
             for _ in range(j):
-                mono = _dict_mul(mono, lin2, exact)
-            vv = _coerce_coeff(v, exact)
+                mono = _dict_mul(mono, lin2)
             for key, coef in mono.items():
-                out[key] = out.get(key, _zero(exact)) + vv * coef
-        return HomoPoly(self.degree, out, exact)
+                p = v * coef
+                out[key] = out[key] + p if key in out else p
+        return HomoPoly(self.degree, out)
 
     def restrict_line(self) -> "object":
         """p(s) = V(1, s) as a univariate polynomial (exact kinds only)."""
         if not self.exact:
             raise PotentialError("line restriction requires exact coefficients")
-        coeffs = [GaussianRational(0)] * (self.degree + 1)
-        for (i, j), v in self.terms.items():
-            coeffs[j] = coeffs[j] + v
-        return UPoly(coeffs)
+        return UPoly([self.terms.get((self.degree - j, j), _ZERO) for j in range(self.degree + 1)])
 
-    def jet(self, c, order: int, exact: bool) -> Jet2:
-        jx = Jet2.variable(0, c[0], order, exact)
-        jy = Jet2.variable(1, c[1], order, exact)
-        xpow = _jet_powers(jx, max(i for i, _ in self.terms), order, exact)
-        ypow = _jet_powers(jy, max(j for _, j in self.terms), order, exact)
-        acc = Jet2.constant(0, order, exact)
+    def jet(self, c, order: int) -> Jet2:
+        jx = Jet2.variable(0, c[0], order)
+        jy = Jet2.variable(1, c[1], order)
+        xpow = _jet_powers(jx, max(i for i, _ in self.terms))
+        ypow = _jet_powers(jy, max(j for _, j in self.terms))
+        acc = Jet2.constant(0, order)
         for (i, j), v in self.terms.items():
             acc = acc + (xpow[i] * ypow[j]).scale(v)
         return acc
@@ -156,32 +140,24 @@ class HomoPoly:
         return f"HomoPoly(degree={self.degree}, terms={len(self.terms)}, exact={self.exact})"
 
 
-def _jet_powers(base: Jet2, n: int, order: int, exact: bool) -> list:
+def _jet_powers(base: Jet2, n: int) -> list:
     """[base^0, base^1, ..., base^n]."""
-    out = [Jet2.constant(1, order, exact)]
+    out = [Jet2.constant(1, base.order)]
     for _ in range(n):
         out.append(out[-1] * base)
     return out
 
 
-def _zero(exact: bool):
-    return GaussianRational(0) if exact else 0j
-
-
-def _dict_mul(a: dict, b: dict, exact: bool = True) -> dict:
+def _dict_mul(a: dict, b: dict) -> dict:
     out = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, _zero(exact)) + v1 * v2
+            key, p = (i1 + i2, j1 + j2), v1 * v2
+            out[key] = out[key] + p if key in out else p
     return out
 
 
 # -- the angular part of the polar kind ---------------------------------
-
-_ZERO = GaussianRational(0)
-_I = GaussianRational(0, 1)
-
 
 class TrigPoly:
     """Finite trigonometric polynomial T(t) = sum_j c_j z^j, z = e^{it}.
@@ -189,29 +165,30 @@ class TrigPoly:
     The Laurent coefficients c_j (|j| <= M, zeros dropped) are the only
     stored data.  The constructor and the views `const`, `cos` and `sin`
     speak the real form a0 + sum a_m cos(m t) + b_m sin(m t), with
-    c_(+-m) = (a_m -+ i b_m)/2.  Coefficients are Gaussian rationals; the
-    polar analysis pipeline additionally requires T to be real (checked by
-    callers).
+    c_(+-m) = (a_m -+ i b_m)/2.  Coefficients are scalars: parsed ones are
+    Gaussian rationals, and a rotation by an irrational angle makes them
+    complex.  The polar analysis pipeline additionally requires T to be
+    real (checked by callers).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, const=0, cos=None, sin=None):
         half = GaussianRational(Fraction(1, 2))
-        c = {0: GaussianRational.coerce(const)}
+        c = {0: scalar(const)}
         for table, rot in ((cos, half), (sin, -half * _I)):
             for m, v in (table or {}).items():
                 if m <= 0:
                     raise PotentialError("trig frequencies must be positive integers")
-                v = GaussianRational.coerce(v)
+                v = scalar(v)
                 c[m] = c.get(m, _ZERO) + v * rot
                 c[-m] = c.get(-m, _ZERO) + v * rot.conjugate()
-        self.coeffs = {j: v for j, v in c.items() if not v.is_zero()}
+        self.coeffs = {j: v for j, v in c.items() if v}
 
     @classmethod
     def _laurent(cls, coeffs: dict) -> "TrigPoly":
         T = cls.__new__(cls)
-        T.coeffs = {j: v for j, v in coeffs.items() if not v.is_zero()}
+        T.coeffs = {j: v for j, v in coeffs.items() if v}
         return T
 
     @property
@@ -232,7 +209,7 @@ class TrigPoly:
         out = {}
         for m in sorted({abs(j) for j in self.coeffs} - {0}):
             v = f(self.coeffs.get(m, _ZERO), self.coeffs.get(-m, _ZERO))
-            if not v.is_zero():
+            if v:
                 out[m] = v
         return out
 
@@ -280,7 +257,7 @@ class TrigPoly:
         return self + (-other)
 
     def scale(self, s) -> "TrigPoly":
-        g = GaussianRational.coerce(s)
+        g = scalar(s)
         return TrigPoly._laurent({j: v * g for j, v in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -293,8 +270,8 @@ class TrigPoly:
                 out[j1 + j2] = out.get(j1 + j2, _ZERO) + v1 * v2
         return TrigPoly._laurent(out)
 
-    def shift(self, cos_d: GaussianRational, sin_d: GaussianRational) -> "TrigPoly":
-        """U(theta + d) given cos d and sin d (exact complex rotation allowed):
+    def shift(self, cos_d, sin_d) -> "TrigPoly":
+        """U(theta + d) given cos d and sin d (exact or float, d may be complex):
         c_j -> c_j w^j with w = cos d + i sin d, and w^-1 = cos d - i sin d."""
         w = {1: cos_d + _I * sin_d, -1: cos_d - _I * sin_d}
         return TrigPoly._laurent({j: v * w[1 if j > 0 else -1] ** abs(j)
@@ -317,7 +294,7 @@ class Potential:
     poly: Optional[HomoPoly] = None          # polynomial kind
     num: Optional[HomoPoly] = None           # rational kind
     den: Optional[HomoPoly] = None
-    a: Optional[GaussianRational] = None     # radial kind
+    a: object = None                         # radial kind
     U: Optional[TrigPoly] = None             # polar kind
 
     # -- constructors ----------------------------------------------------
@@ -338,8 +315,8 @@ class Potential:
 
     @staticmethod
     def radial(a, k: int) -> "Potential":
-        a = a if isinstance(a, GaussianRational) else GaussianRational.coerce(a)
-        if a.is_zero():
+        a = scalar(a)
+        if not a:
             raise PotentialError("zero radial coefficient")
         return Potential(kind=RADIAL, degree=int(k), a=a)
 
@@ -353,7 +330,9 @@ class Potential:
             return self.poly.exact
         if self.kind == RATIONAL:
             return self.num.exact and self.den.exact
-        return True
+        if self.kind == RADIAL:
+            return is_exact([self.a])
+        return is_exact(self.U.coeffs.values())
 
     # -- evaluation -------------------------------------------------------
 
@@ -386,48 +365,46 @@ class Potential:
 def jet_at(V: Potential, c, L: int) -> TaylorJet:
     """Exact (when possible) Taylor jet of V at c up to derivative order L+1."""
     order = L + 1
-    exact_pt = all(isinstance(t, (int, Fraction, GaussianRational)) for t in c)
-    exact = V.exact and exact_pt
-    c = tuple(GaussianRational.coerce(t) if exact else to_complex(t) for t in c)
+    c = tuple(scalar(t) for t in c)
 
     if V.kind == POLYNOMIAL:
-        series = V.poly.jet(c, order, exact)
+        series = V.poly.jet(c, order)
     elif V.kind == RATIONAL:
-        den = V.den.jet(c, order, exact)
+        den = V.den.jet(c, order)
         if scalar_is_zero(den.const_term, 1e-14):
             raise SingularPointError(f"denominator vanishes at {c}")
-        series = V.num.jet(c, order, exact) / den
+        series = V.num.jet(c, order) / den
     elif V.kind == RADIAL:
-        series = _radial_series(c, order, exact, Fraction(V.degree, 2)).scale(V.a)
+        series = _radial_series(c, order, Fraction(V.degree, 2)).scale(V.a)
     elif V.kind == POLAR:
-        series = _polar_series(V.U, V.degree, c, order, exact)
+        series = _polar_series(V.U, V.degree, c, order)
     else:
         raise PotentialError(f"unknown potential kind {V.kind}")
     return TaylorJet.from_series(series, c, L, V.degree)
 
 
-def _radial_series(c, order: int, exact: bool, half_power: Fraction) -> Jet2:
-    jx = Jet2.variable(0, c[0], order, exact)
-    jy = Jet2.variable(1, c[1], order, exact)
+def _radial_series(c, order: int, half_power: Fraction) -> Jet2:
+    jx = Jet2.variable(0, c[0], order)
+    jy = Jet2.variable(1, c[1], order)
     r2 = jx * jx + jy * jy
     if scalar_is_zero(r2.const_term, 1e-14):
         raise SingularPointError("radial potential jet at an isotropic point (q1^2+q2^2 = 0)")
     return r2.rational_power(half_power)
 
 
-def _polar_series(U: TrigPoly, k: int, c, order: int, exact: bool) -> Jet2:
+def _polar_series(U: TrigPoly, k: int, c, order: int) -> Jet2:
     """sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), since r z^(+-1) = q1 +- i q2."""
     if not U.coeffs:
         raise PotentialError("polar potential with identically zero angular part")
-    jx = Jet2.variable(0, c[0], order, exact)
-    iy = Jet2.variable(1, c[1], order, exact).scale(_I)
+    jx = Jet2.variable(0, c[0], order)
+    iy = Jet2.variable(1, c[1], order).scale(_I)
     parts = {}
     for j, v in sorted(U.coeffs.items(), reverse=True):
         t = (jx + iy if j > 0 else jx - iy).pow_int(abs(j)).scale(v)
         parts[abs(j)] = parts[abs(j)] + t if abs(j) in parts else t
     acc = None
     for m, part in sorted(parts.items()):
-        term = part * _radial_series(c, order, exact, Fraction(k - m, 2))
+        term = part * _radial_series(c, order, Fraction(k - m, 2))
         acc = term if acc is None else acc + term
     return acc
 
@@ -450,50 +427,41 @@ def transform(V: Potential, R, scale=1) -> Potential:
     defect = orthogonality_defect(R)
     if defect > 1e-9:
         raise PotentialError(f"matrix is not complex-orthogonal (defect {defect:.3e})")
-    if isinstance(scale, (GaussianRational, int, Fraction)):
-        scale_g = GaussianRational.coerce(scale) if not isinstance(scale, GaussianRational) else scale
-        if scale_g.is_zero():
-            raise PotentialError("zero scale")
-    else:
-        scale_g = complex(scale)
-        if scale_g == 0:
-            raise PotentialError("zero scale")
+    scale = scalar(scale)
+    if not scale:
+        raise PotentialError("zero scale")
 
     if V.kind == POLYNOMIAL:
-        return Potential.polynomial(V.poly.substitute_linear(R).scale(scale_g))
+        return Potential.polynomial(V.poly.substitute_linear(R).scale(scale))
     if V.kind == RATIONAL:
-        return Potential.rational(V.num.substitute_linear(R).scale(scale_g),
+        return Potential.rational(V.num.substitute_linear(R).scale(scale),
                                   V.den.substitute_linear(R))
     if V.kind == RADIAL:
-        if not isinstance(scale_g, GaussianRational):
-            raise PotentialError("radial kind keeps exact coefficients; scale must be exact")
-        return Potential.radial(V.a * scale_g, V.degree)
+        return Potential.radial(V.a * scale, V.degree)
     if V.kind == POLAR:
-        return _transform_polar(V, R, scale_g)
+        return Potential.polar(_transform_angle(V.U, R).scale(scale), V.degree)
     raise PotentialError(f"unknown potential kind {V.kind}")
 
 
-def _transform_polar(V: Potential, R, scale_g) -> Potential:
-    entries = []
-    for row in R:
-        for e in row:
-            if not isinstance(e, (int, Fraction, GaussianRational)):
-                raise PotentialError("polar transforms need exact rotation entries")
-            entries.append(GaussianRational.coerce(e) if not isinstance(e, GaussianRational) else e)
-    a, b, c, d = entries
+def _transform_angle(U: TrigPoly, R) -> TrigPoly:
+    """U of the angle of R q, for orthogonal R = ((a, b), (c, d)).
+
+    det R = +1 is the rotation by delta with cos = a, sin = c, which
+    shifts the angle by +delta; det R = -1 the reflection across the line
+    at angle delta/2, theta -> delta - theta.  The determinant test is
+    exact for exact entries and to 1e-9 for complex ones.
+    """
+    (a, b), (c, d) = ((scalar(e) for e in row) for row in R)
     det = a * d - b * c
-    U = V.U
-    if det == GaussianRational(1):
-        # rotation by delta with cos = a, sin = c: angle shifts by +delta
-        U2 = U.shift(a, c)
-    elif det == GaussianRational(-1):
-        # reflection across the line at angle delta/2: theta -> delta - theta
-        U2 = U.shift(a, c).flip()
-    else:
-        raise PotentialError("orthogonal matrix with determinant != +-1")
-    if not isinstance(scale_g, GaussianRational):
-        raise PotentialError("polar kind keeps exact coefficients; scale must be exact")
-    return Potential.polar(U2.scale(scale_g), V.degree)
+
+    def is_det(sign: int) -> bool:
+        return det == sign if isinstance(det, GaussianRational) else abs(det - sign) <= 1e-9
+
+    if is_det(1):
+        return U.shift(a, c)
+    if is_det(-1):
+        return U.shift(a, c).flip()
+    raise PotentialError("orthogonal matrix with determinant != +-1")
 
 
 def rotation_to_axis(c1, c2):
@@ -503,33 +471,20 @@ def rotation_to_axis(c1, c2):
     exact square root when one exists in Q(i), else the principal complex
     root.
     """
-    exact = all(isinstance(t, (int, Fraction, GaussianRational)) for t in (c1, c2))
-    if exact:
-        c1 = GaussianRational.coerce(c1)
-        c2 = GaussianRational.coerce(c2)
-        n = c1 * c1 + c2 * c2
-        if n.is_zero():
-            raise PotentialError("isotropic point: c1^2+c2^2 = 0")
-        g = n.sqrt_exact()
-        if g is not None:
-            return ((c1 / g, -(c2 / g)), (c2 / g, c1 / g)), g
-        c1, c2 = complex(c1), complex(c2)
-    import cmath
+    c1, c2 = scalar(c1), scalar(c2)
     n = c1 * c1 + c2 * c2
-    if abs(n) < 1e-300:
+    if scalar_is_zero(n, 1e-300):
         raise PotentialError("isotropic point: c1^2+c2^2 = 0")
-    g = cmath.sqrt(n)
-    return ((c1 / g, -c2 / g), (c2 / g, c1 / g)), g
+    g = n.sqrt_exact() if isinstance(n, GaussianRational) else None
+    if g is None:
+        g = cmath.sqrt(complex(n))
+    return ((c1 / g, -(c2 / g)), (c2 / g, c1 / g)), g
 
 
 def euler_defect(V: Potential, point):
     """q . grad V - k V; identically zero for every homogeneous potential."""
     j = jet_at(V, point, 0)
-    if j.exact:
-        p0 = point[0] if isinstance(point[0], GaussianRational) else GaussianRational.coerce(point[0])
-        p1 = point[1] if isinstance(point[1], GaussianRational) else GaussianRational.coerce(point[1])
-    else:
-        p0, p1 = to_complex(point[0]), to_complex(point[1])
+    p0, p1 = j.base_point
     g1, g2 = j.gradient()
     return p0 * g1 + p1 * g2 - j.value * V.degree
 
@@ -563,14 +518,10 @@ def _homopoly_to_json(p: HomoPoly) -> dict:
 
 def _homopoly_from_json(obj) -> HomoPoly:
     terms = {}
-    exact = True
     for key, v in obj["terms"].items():
         i, j = (int(t) for t in key.split(","))
-        val = _gauss_from_json(v)
-        if isinstance(val, complex):
-            exact = False
-        terms[(i, j)] = val
-    return HomoPoly(_json_degree(obj), terms, exact)
+        terms[(i, j)] = _gauss_from_json(v)
+    return HomoPoly(_json_degree(obj), terms)
 
 
 def _trig_to_json(U: TrigPoly) -> dict:

@@ -2,9 +2,11 @@
 
 Everything downstream that claims exactness (degrees, eigenvalues, table
 membership, multiplicity tests) is built on these.  A scalar is either a
-:class:`GaussianRational` (exact path) or a Python ``complex`` (floating
-path); the two support the same arithmetic so generic code can stay
-agnostic.
+:class:`GaussianRational` or a Python ``complex``, and its type is the
+only record of exactness: a value is exact iff it is a GaussianRational.
+The two support the same arithmetic, and mixing them gives a complex, so
+generic code stays agnostic; `scalar` brings any number into the domain
+and `is_exact` asks whether values are all exact.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class GaussianRational:
                                 (self.im * o.re - self.re * o.im) / n2)
 
     def __rtruediv__(self, other):
+        if isinstance(other, complex):
+            return other / complex(self)
         return GaussianRational.coerce(other) / self
 
     def __pow__(self, n: int):
@@ -153,6 +157,9 @@ class GaussianRational:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -216,6 +223,22 @@ def gr(re=0, im=0) -> GaussianRational:
 
 
 # -- scalar-domain helpers (exact GaussianRational or floating complex) --
+
+def scalar(v):
+    """v in the scalar domain: an int or Fraction becomes an exact
+    GaussianRational, a GaussianRational or complex is kept, and any other
+    number becomes a complex."""
+    if isinstance(v, (GaussianRational, complex)):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return GaussianRational(v)
+    return complex(v)
+
+
+def is_exact(values) -> bool:
+    """True when every value is a GaussianRational."""
+    return all(isinstance(v, GaussianRational) for v in values)
+
 
 def to_complex(x) -> complex:
     return complex(x)

@@ -2,9 +2,11 @@
 
 Jets of a potential at a base point are computed by plain series
 arithmetic on the defining expression (add, multiply, invert, raise to a
-rational power), which is exact over Gaussian rationals and uniform
-across potential kinds.  The derivative table handed to the variational
-machinery uses the order/slot convention
+rational power), uniform across potential kinds.  Coefficients are
+scalars (see scalars.py): the arithmetic is exact while they are
+Gaussian rationals, and a complex base point, coefficient or irrational
+root makes the coefficients it touches complex.  The derivative table
+handed to the variational machinery uses the order/slot convention
 
     d[i][j] = d^{i+1} V / dq1^{i-j+1} dq2^j  (c),   0 <= j <= i+1 <= L+1,
 
@@ -13,129 +15,106 @@ so row i collects the derivatives of total order i+1.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .scalars import GaussianRational, rational_nth_root, scalar_is_zero, to_complex
+from .scalars import GaussianRational, is_exact, rational_nth_root, scalar, scalar_is_zero
+
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 
 
 class Jet2:
     """Bivariate Taylor expansion truncated above a total order.
 
-    coeffs maps (a, b) with a+b <= order to the coefficient of x^a y^b.
-    The scalar domain is GaussianRational (exact=True) or complex.
+    coeffs maps (a, b) with a+b <= order to the nonzero coefficient of
+    x^a y^b, each a GaussianRational or a complex.
     """
 
-    __slots__ = ("order", "coeffs", "exact")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs=None, exact: bool = True):
+    def __init__(self, order: int, coeffs=None):
         self.order = order
         self.coeffs = dict(coeffs or {})
-        self.exact = exact
-        if not exact:
-            self.coeffs = {k: complex(v) if not isinstance(v, complex) else v
-                           for k, v in self.coeffs.items()}
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int, exact: bool = True):
-        value = value if exact else to_complex(value)
-        return cls(order, {(0, 0): value} if not scalar_is_zero(value) else {}, exact)
+    def constant(cls, value, order: int):
+        value = scalar(value)
+        return cls(order, {(0, 0): value} if value else {})
 
     @classmethod
-    def variable(cls, which: int, base_value, order: int, exact: bool = True):
+    def variable(cls, which: int, base_value, order: int):
         """The affine jet base_value + x (which=0) or base_value + y (which=1)."""
-        mono = (1, 0) if which == 0 else (0, 1)
-        one = GaussianRational(1) if exact else 1.0 + 0j
-        coeffs = {mono: one}
-        bv = base_value if exact else to_complex(base_value)
-        if not scalar_is_zero(bv):
-            coeffs[(0, 0)] = bv
-        return cls(order, coeffs, exact)
-
-    def to_inexact(self) -> "Jet2":
-        if not self.exact:
-            return self
-        return Jet2(self.order, {k: to_complex(v) for k, v in self.coeffs.items()}, exact=False)
+        coeffs = {(1, 0) if which == 0 else (0, 1): _ONE}
+        base_value = scalar(base_value)
+        if base_value:
+            coeffs[(0, 0)] = base_value
+        return cls(order, coeffs)
 
     # -- basic accessors -----------------------------------------------
 
     def coeff(self, a: int, b: int):
-        zero = GaussianRational(0) if self.exact else 0j
-        return self.coeffs.get((a, b), zero)
+        return self.coeffs.get((a, b), _ZERO)
 
     @property
     def const_term(self):
         return self.coeff(0, 0)
 
     def _store(self, coeffs: dict) -> "Jet2":
-        if self.exact:
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-        else:
-            coeffs = {k: v for k, v in coeffs.items() if v != 0}
-        return Jet2(self.order, coeffs, self.exact)
+        return Jet2(self.order, {k: v for k, v in coeffs.items() if v})
 
     # -- ring operations -----------------------------------------------
 
-    def _align(self, other):
-        if isinstance(other, Jet2):
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            if self.exact != other.exact:
-                return self.to_inexact(), other.to_inexact()
-            return self, other
-        return self, Jet2.constant(other, self.order, self.exact)
+    def _align(self, other) -> "Jet2":
+        if not isinstance(other, Jet2):
+            return Jet2.constant(other, self.order)
+        if other.order != self.order:
+            raise ValueError("jet order mismatch")
+        return other
 
     def __add__(self, other):
-        a, b = self._align(other)
-        out = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            out[k] = out.get(k, GaussianRational(0) if a.exact else 0j) + v
-        return a._store(out)
+        out = dict(self.coeffs)
+        for k, v in self._align(other).coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return self._store(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, {k: -v for k, v in self.coeffs.items()}, self.exact)
+        return Jet2(self.order, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return a + (-b)
+        return self + (-self._align(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._align(other)
-        out = {}
-        zero = GaussianRational(0) if a.exact else 0j
-        for (i1, j1), v1 in a.coeffs.items():
-            for (i2, j2), v2 in b.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > a.order:
+        other, out = self._align(other), {}
+        for (i1, j1), v1 in self.coeffs.items():
+            for (i2, j2), v2 in other.coeffs.items():
+                key = (i1 + i2, j1 + j2)
+                if key[0] + key[1] > self.order:
                     continue
-                key = (i, j)
-                out[key] = out.get(key, zero) + v1 * v2
-        return a._store(out)
+                p = v1 * v2
+                out[key] = out[key] + p if key in out else p
+        return self._store(out)
 
     __rmul__ = __mul__
 
     def scale(self, s):
-        """Multiply by a scalar; Fractions stay exact on the exact path."""
-        if self.exact and isinstance(s, (int, Fraction)):
-            return Jet2(self.order, {k: v * GaussianRational(s) for k, v in self.coeffs.items()}, True)
-        if self.exact and isinstance(s, GaussianRational):
-            return Jet2(self.order, {k: v * s for k, v in self.coeffs.items()}, True)
-        me = self.to_inexact()
-        sc = to_complex(s) if isinstance(s, (GaussianRational, Fraction, int)) else complex(s)
-        return Jet2(me.order, {k: v * sc for k, v in me.coeffs.items()}, False)
+        """Multiply by a scalar."""
+        s = scalar(s)
+        return Jet2(self.order, {k: v * s for k, v in self.coeffs.items()})
 
     def pow_int(self, n: int) -> "Jet2":
         if n < 0:
             return self.inverse().pow_int(-n)
-        out = Jet2.constant(GaussianRational(1) if self.exact else 1.0 + 0j, self.order, self.exact)
+        out = Jet2.constant(1, self.order)
         base = self
         while n:
             if n & 1:
@@ -149,25 +128,24 @@ class Jet2:
         c0 = self.const_term
         if scalar_is_zero(c0, 1e-300):
             raise ZeroDivisionError("jet has zero constant term")
-        u = self.scale(1 / c0 if not self.exact else GaussianRational(1) / c0) - 1
+        u = self.scale(1 / c0) - 1
         # 1/f = (1/c0) * sum (-u)^m
-        acc = Jet2.constant(GaussianRational(1) if self.exact else 1.0 + 0j, self.order, self.exact)
+        acc = Jet2.constant(1, self.order)
         term = acc
         for _ in range(self.order):
             term = term * (-u)
             acc = acc + term
-        return acc.scale(GaussianRational(1) / c0 if self.exact else 1 / c0)
+        return acc.scale(1 / c0)
 
     def __truediv__(self, other):
-        a, b = self._align(other)
-        return a * b.inverse()
+        return self * self._align(other).inverse()
 
     def rational_power(self, e: Fraction) -> "Jet2":
         """f^e for rational e via the binomial series around the constant term.
 
-        Exact when e is an integer or the constant term has an exact
-        denominator-of-e root in Q(i); otherwise the computation drops to
-        complex floating point (principal branch).
+        Exact when e is an integer or the constant term is exact and has
+        an exact denominator-of-e root in Q(i); otherwise the leading
+        factor is the principal complex power.
         """
         e = Fraction(e)
         if e.denominator == 1:
@@ -175,57 +153,36 @@ class Jet2:
         c0 = self.const_term
         if scalar_is_zero(c0, 1e-300):
             raise ZeroDivisionError("rational power of a jet vanishing at the base point")
-        lead = _scalar_rational_power(c0, e, self.exact)
-        target = self
-        if lead is None:
-            target = self.to_inexact()
-            lead = _complex_principal_power(to_complex(c0), e)
-        u = target.scale(GaussianRational(1) / c0 if target.exact else 1 / to_complex(c0)) - 1
-        one = GaussianRational(1) if target.exact else 1.0 + 0j
-        acc = Jet2.constant(one, target.order, target.exact)
+        u = self.scale(1 / c0) - 1
+        acc = Jet2.constant(1, self.order)
         term = acc
         binom = Fraction(1)
-        for m in range(1, target.order + 1):
+        for m in range(1, self.order + 1):
             binom *= Fraction(e - m + 1, m)
             term = term * u
             acc = acc + term.scale(binom)
-        return acc.scale(lead)
+        return acc.scale(_scalar_rational_power(c0, e))
 
     def __repr__(self):
-        return f"Jet2(order={self.order}, terms={len(self.coeffs)}, exact={self.exact})"
+        return f"Jet2(order={self.order}, terms={len(self.coeffs)})"
 
 
-def _complex_principal_power(z: complex, e: Fraction) -> complex:
-    import cmath
-    if z == 0:
-        return 0j
-    return cmath.exp(float(e) * cmath.log(z))
-
-
-def _scalar_rational_power(c0, e: Fraction, exact: bool):
-    """c0^e in the exact domain, or None when no exact value exists."""
-    if not exact:
-        return _complex_principal_power(to_complex(c0), e)
-    if not isinstance(c0, GaussianRational):
-        c0 = GaussianRational(c0)
-    root = c0
-    # peel the denominator as iterated exact roots (denominators here are tiny)
-    den = e.denominator
-    if c0.is_real() and c0.re > 0:
-        r = rational_nth_root(c0.re, den)
-        if r is None:
-            return None
-        root = GaussianRational(r)
-    elif den == 2:
-        root = c0.sqrt_exact()
-        if root is None:
-            return None
-    else:
-        if c0 == GaussianRational(1):
-            root = GaussianRational(1)
-        else:
-            return None
-    return root ** e.numerator
+def _scalar_rational_power(c0, e: Fraction):
+    """c0^e: exact when c0 has an exact e.denominator-th root in Q(i),
+    else the principal complex power."""
+    if isinstance(c0, GaussianRational):
+        # peel the denominator as an exact root (denominators here are tiny)
+        den, root = e.denominator, None
+        if c0.is_real() and c0.re > 0:
+            r = rational_nth_root(c0.re, den)
+            root = None if r is None else GaussianRational(r)
+        elif den == 2:
+            root = c0.sqrt_exact()
+        elif c0 == _ONE:
+            root = _ONE
+        if root is not None:
+            return root ** e.numerator
+    return cmath.exp(float(e) * cmath.log(complex(c0)))
 
 
 @dataclass
@@ -235,6 +192,7 @@ class TaylorJet:
     d[i][j] follows the convention in the module docstring; `value` is
     V(c) itself.  `degree` is carried along so consumers can check the
     Euler recurrence d[i][j] = (k - i) d[i-1][j] at normalized points.
+    The jet is exact when V(c) and every d[i][j] are.
     """
 
     base_point: tuple
@@ -242,7 +200,10 @@ class TaylorJet:
     degree: int
     value: object
     d: list = field(repr=False)  # d[i][j], 0 <= i <= order, 0 <= j <= i+1
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        return is_exact([self.value, *(v for row in self.d for v in row)])
 
     @classmethod
     def from_series(cls, series: Jet2, base_point, order: int, degree: int):
@@ -255,7 +216,7 @@ class TaylorJet:
                 row.append(series.coeff(a, b) * (factorial(a) * factorial(b)))
             d.append(row)
         return cls(base_point=tuple(base_point), order=order, degree=degree,
-                   value=series.const_term, d=d, exact=series.exact)
+                   value=series.const_term, d=d)
 
     def partial(self, a: int, b: int):
         """Derivative d^{a+b} V / dq1^a dq2^b (c); (0,0) gives V(c)."""

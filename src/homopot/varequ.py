@@ -217,6 +217,8 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
     be based at the normalized Darboux point and its derivatives are
     attached as the numeric values of the d-symbols.
     """
+    if l < 1:
+        raise ValueError("level must be >= 1")
     if force_sign not in (1, -1):
         raise ValueError("force_sign must be +1 or -1")
     if jet is not None:

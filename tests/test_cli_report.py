@@ -166,7 +166,9 @@ def test_batch_golden_corpus():
 def test_corpus_json_reports_are_golden():
     """`analyze --json` of each corpus file, byte for byte."""
     corpus = sorted((DATA / "corpus").iterdir())
-    assert [p.stem for p in corpus] == sorted(p.stem for p in (DATA / "golden_json").iterdir())
+    goldens = (DATA / "golden_json").iterdir()
+    assert [p.stem for p in corpus] == sorted(p.stem for p in goldens
+                                              if not p.stem.startswith("ve_"))
     for path in corpus:
         text = path.read_text().strip()
         source = potential_from_json(json.loads(text)) if path.suffix == ".json" else text
@@ -283,6 +285,28 @@ def test_cli_ve_build(capsys):
     js = json.loads(out)
     assert js["level"] == 2 and js["lambda"] == "-3"
     assert len(js["indices"]) == 14
+    # points whose c is irrational; a float lambda (0.45427337345643304 for
+    # the cubic) stays the symbol lam, since no rational stands in for it
+    for text, lam in [("2*r^-3", "-3"), ("3*r^4", "4"),
+                      ("r^-3*(1 + 1/10*cos(2*theta))", "-37/11"),
+                      ("r^-3*(1 + 1/10*cos(3*theta) + 1/20*sin(2*theta))", None),
+                      ("q1^3 - 2*q1^2*q2 + 2*q1*q2^2 - 9*q2^3", None)]:
+        code, out, err = run_cli(capsys, "ve-build", text, "--level", "2", "--json")
+        assert code == 0, (text, err)
+        js = json.loads(out)
+        assert js["level"] == 2 and js["lambda"] == lam, text
+        assert any(e["d_symbols"] == ["lam"] for e in js["entries"]) == (lam is None), text
+    for text in ("r^-3", "q1^3"):
+        for level in ("-1", "-3"):
+            code, out, err = run_cli(capsys, "ve-build", text, "--level", level)
+            assert (code, out, err) == (1, "", "error: level must be >= 1\n"), (text, level)
+
+
+def test_cli_ve_build_polar_is_golden(capsys):
+    text = (DATA / "corpus" / "04_polar_wave.pot").read_text().strip()
+    code, out, _ = run_cli(capsys, "ve-build", text, "--level", "3", "--json")
+    assert code == 0
+    assert out == (DATA / "golden_json" / "ve_04_polar_wave_l3.json").read_text()
 
 
 def test_cli_batch(capsys, tmp_path):

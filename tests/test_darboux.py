@@ -13,7 +13,7 @@ import homopot.potential as potential_module
 from homopot.darboux import (DarbouxError, classify, direction_polynomial,
                              find_darboux_points, normalize)
 from homopot.parse import parse_potential
-from homopot.potential import HomoPoly, Potential, jet_at, transform
+from homopot.potential import HomoPoly, Potential, PotentialError, jet_at, transform
 from homopot.report import NON_INTEGRABLE, RADIAL_CANDIDATE, analyze
 from homopot.scalars import GaussianRational, gr, to_complex
 from homopot.upoly import UPoly
@@ -231,8 +231,33 @@ def test_normalize_jet_shape(rng):
         assert j.d[1][2] == src.spectrum[1]
 
 
+@pytest.mark.parametrize("text", [
+    "q1^3 - 2*q1^2*q2 + 2*q1*q2^2 - 9*q2^3",
+    "(q1^3 + 2*q2^3)/(q1*q2)",
+    "2*r^-3",
+    "3*r^4",
+    "r^-3*(1 + 1/10*cos(2*theta))",
+    "r^-3*(1 + 1/10*cos(3*theta) + 1/20*sin(2*theta))",
+])
+def test_normalize_jet_shape_at_float_points(text):
+    # every point of these inputs has an irrational c, so the rotation and
+    # the scale are complex, and so is the normalized potential
+    V = parse_potential(text)
+    k = V.degree
+    points = find_darboux_points(V).points
+    assert points and not any(p.exact or p.isotropic for p in points)
+    for p in points:
+        Vn, c = normalize(V, p)
+        j = jet_at(Vn, c, 2)
+        want = (1, k, 0, k * (k - 1), 0, to_complex(p.spectrum[1]))
+        got = (j.value, j.d[0][0], j.d[0][1], j.d[1][0], j.d[1][1], j.d[1][2])
+        for g, w in zip(got, want):
+            assert abs(to_complex(g) - w) <= 1e-9 * max(1, abs(w)), (text, p.c, got)
+        with pytest.raises(PotentialError, match="exact"):
+            Vn.text()
+
+
 def test_normalize_rejects_isotropic():
-    from homopot.potential import PotentialError
     V = parse_potential("(q1 + i*q2)*(q1 - i*q2)^2")
     with pytest.raises(PotentialError, match="isotropic"):
         normalize(V, (gr(Fraction(3, 4)), gr(0, Fraction(3, 4))))

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from homopot.scalars import (GaussianRational, gr, integer_nth_root,
-                             parse_rational, rational_nth_root, rational_sqrt)
+from homopot.scalars import (GaussianRational, gr, integer_nth_root, is_exact,
+                             parse_rational, rational_nth_root, rational_sqrt, scalar)
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -29,6 +29,21 @@ def test_division_exactness():
     x = gr(Fraction(1, 3), Fraction(2, 7)) / gr(Fraction(5, 11), Fraction(-3, 13))
     back = x * gr(Fraction(5, 11), Fraction(-3, 13))
     assert back == gr(Fraction(1, 3), Fraction(2, 7))
+
+
+def test_mixed_with_complex():
+    # a complex operand on either side makes the result a complex
+    assert 1j / gr(2) == 0.5j and isinstance(1j / gr(2), complex)
+    assert gr(2) / 1j == -2j
+    assert abs(gr(3, 4)) == 5.0
+    assert abs(gr(Fraction(-1, 2))) == 0.5
+
+
+def test_scalar_domain():
+    assert scalar(3) == gr(3) and isinstance(scalar(Fraction(1, 2)), GaussianRational)
+    assert scalar(gr(1, 1)) == gr(1, 1)
+    assert scalar(0.5) == 0.5 + 0j and isinstance(scalar(0.5), complex)
+    assert is_exact([gr(1), scalar(2)]) and not is_exact([gr(1), 1j])
 
 
 def test_zero_division():

@@ -150,6 +150,14 @@ def test_jet_normalization_guard():
         build_higher_ve(jet, 2, 3, lam=Q(0))
 
 
+def test_level_is_checked_before_the_jet():
+    # a jet of order -1 has no row d[0] to validate
+    jet = jet_at(parse_potential("q1^3"), (1, 0), -1)
+    for level in (-1, -3, 0):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            build_higher_ve(jet, level, 3)
+
+
 def test_euler_consistency_polynomial_vs_recurrence(rng):
     # tails built from jets of a normalized polynomial match the Euler
     # recurrence d_{i,j} = (k-i) d_{i-1,j} (exactly, in rational arithmetic)
