@@ -12,12 +12,24 @@ and a variable.  Cartesian input (q1, q2) yields polynomial or rational
 kinds; radial/polar input uses `r` and `theta`, e.g. ``r^-3`` or
 ``r^-3*(1 + 1/10*cos(2*theta))``.  Numbers may be integers, fractions
 via `/`, or decimal literals.
+
+One walker evaluates every expression in one ring: quotients of sparse
+Laurent polynomials in two variables over Q(i).  Cartesian input uses the
+variables (q1, q2).  Polar input uses (r, z) with z = e^{i theta}, where
+cos m theta = (z^m + z^-m)/2 and sin m theta = (z^m - z^-m)/(2i), so a
+product of trig polynomials is a convolution of their coefficients; it
+may divide only by c*r^p, so its denominator stays 1 and U is read off the
+z-exponents.  A cos/sin argument is evaluated in the same ring with theta
+as its only variable and must come out as m*theta, m an integer.
+Dividing by an expression that is identically zero is an error wherever
+it happens.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
                         POLYNOMIAL, RATIONAL, RADIAL, POLAR)
@@ -161,55 +173,35 @@ class _Parser:
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
 
 
-# -- Cartesian semantics: rational functions over Q(i)[q1,q2] -----------
+# -- semantics: one ring for every grammar --------------------------------
 
 _ONE = {(0, 0): GaussianRational(1)}
 
 
-def _d_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, GaussianRational(0)) + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _d_scale(a, g):
-    return {k: v * g for k, v in a.items()}
-
-
 class _RatFunc:
+    """num/den, each a sparse Laurent polynomial {(a, b): coefficient} in
+    two variables over Q(i); den is never zero."""
+
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=_ONE):
         self.num = {k: v for k, v in num.items() if not v.is_zero()}
-        if den is None:
-            den = dict(_ONE)
         self.den = {k: v for k, v in den.items() if not v.is_zero()}
 
     def __add__(self, o):
-        return _RatFunc(_d_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den)),
-                        _dict_mul(self.den, o.den))
+        num = _dict_mul(self.num, o.den)
+        for k, v in _dict_mul(o.num, self.den).items():
+            num[k] = num[k] + v if k in num else v
+        return _RatFunc(num, _dict_mul(self.den, o.den))
 
     def __neg__(self):
-        return _RatFunc(_d_scale(self.num, GaussianRational(-1)), self.den)
+        return _RatFunc({k: -v for k, v in self.num.items()}, self.den)
 
     def __mul__(self, o):
         return _RatFunc(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
 
-    def __truediv__(self, o):
-        if not o.num:
-            raise ParseError("division by zero expression")
-        return _RatFunc(_dict_mul(self.num, o.den), _dict_mul(self.den, o.num))
-
-    def powi(self, n: int):
-        if n < 0:
-            return _RatFunc(self.den, self.num).powi(-n)
-        out = _RatFunc(dict(_ONE))
-        base = self
+    def __pow__(self, n: int):
+        out, base = _RatFunc(_ONE), self
         while n:
             if n & 1:
                 out = out * base
@@ -218,153 +210,71 @@ class _RatFunc:
         return out
 
 
-def _eval_cartesian(node: Node) -> _RatFunc:
-    if node.op == "num":
-        return _RatFunc({(0, 0): GaussianRational(node.args[0])})
-    if node.op == "var":
-        v = node.args[0]
-        if v == "q1":
-            return _RatFunc({(1, 0): GaussianRational(1)})
-        if v == "q2":
-            return _RatFunc({(0, 1): GaussianRational(1)})
-        if v == "i":
-            return _RatFunc({(0, 0): GaussianRational(0, 1)})
-        raise ParseError(f"symbol {v!r} is not allowed in a Cartesian potential", node.pos)
-    if node.op == "neg":
-        return -_eval_cartesian(node.args[0])
-    if node.op in ("add", "sub"):
-        a = _eval_cartesian(node.args[0])
-        b = _eval_cartesian(node.args[1])
-        return a + (b if node.op == "add" else -b)
-    if node.op == "mul":
-        return _eval_cartesian(node.args[0]) * _eval_cartesian(node.args[1])
-    if node.op == "div":
-        return _eval_cartesian(node.args[0]) / _eval_cartesian(node.args[1])
-    if node.op == "pow":
-        return _eval_cartesian(node.args[0]).powi(node.args[1])
-    raise ParseError(f"{node.op} is not allowed in a Cartesian potential", node.pos)
+def _invert(f: _RatFunc, polar: bool) -> _RatFunc:
+    """1/f.  Polar input may only divide by c*r^p, so its denominator stays 1."""
+    if not f.num:
+        raise ParseError("division by zero expression")
+    if not polar:
+        return _RatFunc(f.den, f.num)
+    (p, j), c = next(iter(f.num.items()))
+    if len(f.num) != 1 or j:
+        raise ParseError("can only divide by a constant or a pure power of r")
+    return _RatFunc({(-p, 0): GaussianRational(1) / c})
 
 
-# -- polar semantics: sums of r^p * (trig poly) -------------------------
-
-class _PolarElem:
-    __slots__ = ("parts",)  # {r_exponent: TrigPoly}
-
-    def __init__(self, parts):
-        self.parts = {p: t for p, t in parts.items()
-                      if not (t.is_constant() and t.const.is_zero())}
-
-    def __add__(self, o):
-        out = dict(self.parts)
-        for p, t in o.parts.items():
-            out[p] = out[p] + t if p in out else t
-        return _PolarElem(out)
-
-    def __neg__(self):
-        return _PolarElem({p: -t for p, t in self.parts.items()})
-
-    def __mul__(self, o):
-        out = {}
-        for p1, t1 in self.parts.items():
-            for p2, t2 in o.parts.items():
-                prod = t1 * t2
-                p = p1 + p2
-                out[p] = out[p] + prod if p in out else prod
-        return _PolarElem(out)
-
-    def invert(self):
-        if not self.parts:
-            raise ParseError("division by zero expression")
-        if len(self.parts) != 1:
-            raise ParseError("can only divide by a constant or a pure power of r")
-        (p, t), = self.parts.items()
-        if not t.is_constant():
-            raise ParseError("can only divide by a constant or a pure power of r")
-        return _PolarElem({-p: TrigPoly(GaussianRational(1) / t.const)})
-
-    def powi(self, n: int):
-        if n < 0:
-            return self.invert().powi(-n)
-        out = _PolarElem({0: TrigPoly(1)})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+class _Grammar(NamedTuple):
+    symbols: dict    # name -> its value in the ring
+    polar: bool      # cos/sin allowed, in z = e^{i theta}; divide only by c*r^p
+    refusal: str     # message for any other construct, formatted with its name
 
 
-def _trig_arg_multiple(node: Node) -> int:
-    """Evaluate a cos/sin argument of the form (integer) * theta."""
-    def lin(n: Node):
-        # returns (constant Fraction, theta coefficient Fraction)
-        if n.op == "num":
-            return n.args[0], Fraction(0)
-        if n.op == "var" and n.args[0] == "theta":
-            return Fraction(0), Fraction(1)
-        if n.op == "neg":
-            c, t = lin(n.args[0])
-            return -c, -t
-        if n.op in ("add", "sub"):
-            c1, t1 = lin(n.args[0])
-            c2, t2 = lin(n.args[1])
-            s = 1 if n.op == "add" else -1
-            return c1 + s * c2, t1 + s * t2
-        if n.op == "mul":
-            c1, t1 = lin(n.args[0])
-            c2, t2 = lin(n.args[1])
-            if t1 != 0 and t2 != 0:
-                raise ParseError("nonlinear theta inside cos/sin", n.pos)
-            if t1 != 0:
-                if t2 != 0 or c2.denominator != 1:
-                    raise ParseError("trig argument must be an integer multiple of theta", n.pos)
-                return c1 * c2, t1 * c2
-            return c1 * c2, t2 * c1
-        raise ParseError("trig argument must be an integer multiple of theta", n.pos)
-
-    c, t = lin(node)
-    if c != 0 or t.denominator != 1:
-        raise ParseError("trig argument must be an integer multiple of theta", node.pos)
-    return int(t)
+_X = _RatFunc({(1, 0): GaussianRational(1)})
+_I = _RatFunc({(0, 0): GaussianRational(0, 1)})
+_CARTESIAN = _Grammar({"q1": _X, "q2": _RatFunc({(0, 1): GaussianRational(1)}), "i": _I},
+                      False, "{} is not allowed in a Cartesian potential")
+_POLAR = _Grammar({"r": _X, "i": _I}, True, "bare {} outside cos/sin")
+_TRIG_ARG = _Grammar({"theta": _X}, False, "trig argument must be an integer multiple of theta")
 
 
-def _eval_polar(node: Node) -> _PolarElem:
-    if node.op == "num":
-        return _PolarElem({0: TrigPoly(GaussianRational(node.args[0]))})
-    if node.op == "var":
-        v = node.args[0]
-        if v == "r":
-            return _PolarElem({1: TrigPoly(1)})
-        if v == "i":
-            return _PolarElem({0: TrigPoly(GaussianRational(0, 1))})
-        if v == "theta":
-            raise ParseError("bare theta outside cos/sin", node.pos)
-        raise ParseError(f"symbol {v!r} is not allowed in a polar potential", node.pos)
-    if node.op in ("cos", "sin"):
-        m = _trig_arg_multiple(node.args[0])
-        if m == 0:
-            val = GaussianRational(1 if node.op == "cos" else 0)
-            return _PolarElem({0: TrigPoly(val)})
-        flip = m < 0
-        m = abs(m)
-        if node.op == "cos":
-            return _PolarElem({0: TrigPoly(0, cos={m: 1})})
-        t = TrigPoly(0, sin={m: -1 if flip else 1})
-        return _PolarElem({0: t})
-    if node.op == "neg":
-        return -_eval_polar(node.args[0])
-    if node.op in ("add", "sub"):
-        a = _eval_polar(node.args[0])
-        b = _eval_polar(node.args[1])
-        return a + (b if node.op == "add" else -b)
-    if node.op == "mul":
-        return _eval_polar(node.args[0]) * _eval_polar(node.args[1])
-    if node.op == "div":
-        return _eval_polar(node.args[0]) * _eval_polar(node.args[1]).invert()
-    if node.op == "pow":
-        return _eval_polar(node.args[0]).powi(node.args[1])
-    raise ParseError(f"unsupported construct {node.op!r}", node.pos)
+def _evaluate(node: Node, g: _Grammar) -> _RatFunc:
+    op, args = node.op, node.args
+    if op == "num":
+        return _RatFunc({(0, 0): GaussianRational(args[0])})
+    if op == "var" and args[0] in g.symbols:
+        return g.symbols[args[0]]
+    if op in ("cos", "sin") and g.polar:
+        # cos m theta = (z^m + z^-m)/2, sin m theta = (z^m - z^-m)/(2i)
+        m = _trig_multiple(args[0])
+        c = GaussianRational(Fraction(1, 2)) if op == "cos" else GaussianRational(0, Fraction(-1, 2))
+        return _RatFunc({(0, m): c}) + _RatFunc({(0, -m): c.conjugate()})
+    if op == "neg":
+        return -_evaluate(args[0], g)
+    if op in ("add", "sub"):
+        a, b = _evaluate(args[0], g), _evaluate(args[1], g)
+        return a + (b if op == "add" else -b)
+    if op == "mul":
+        return _evaluate(args[0], g) * _evaluate(args[1], g)
+    if op == "div":
+        return _evaluate(args[0], g) * _invert(_evaluate(args[1], g), g.polar)
+    if op == "pow":
+        base, n = _evaluate(args[0], g), args[1]
+        return (base if n >= 0 else _invert(base, g.polar)) ** abs(n)
+    raise ParseError(g.refusal.format(args[0] if op == "var" else op), node.pos)
+
+
+def _trig_multiple(node: Node) -> int:
+    """m for a cos/sin argument that evaluates to m*theta, m an integer."""
+    f = _evaluate(node, _TRIG_ARG)
+    if set(f.num) <= {(1, 0)} and set(f.den) == {(0, 0)}:
+        m = f.num.get((1, 0), GaussianRational(0)) / f.den[(0, 0)]
+        if m.im == 0 and m.re.denominator == 1:
+            return int(m.re)
+    raise ParseError(_TRIG_ARG.refusal, node.pos)
+
+
+def _angular_part(terms: dict) -> TrigPoly:
+    """U from the z-exponents of polar terms {(r exponent, z exponent): c}."""
+    return TrigPoly._laurent({j: v for (_, j), v in terms.items()})
 
 
 # -- classification ------------------------------------------------------
@@ -395,7 +305,7 @@ def parse_potential(text: str) -> Potential:
     """Parse an expression into a canonical Potential.
 
     Raises ParseError for syntax problems, non-homogeneous input, or a
-    vanishing denominator.
+    division by a zero expression.
     """
     tokens = tokenize(text)
     names = {val for kind, val, _ in tokens if kind == "name"}
@@ -403,26 +313,20 @@ def parse_potential(text: str) -> Potential:
     if names & {"r", "theta"}:
         if names & {"q1", "q2"}:
             raise ParseError("cannot mix Cartesian q1/q2 with polar r/theta")
-        elem = _eval_polar(ast)
-        if not elem.parts:
+        terms = _evaluate(ast, _POLAR).num
+        if not terms:
             raise ParseError("potential is identically zero")
-        if len(elem.parts) != 1:
-            exps = sorted(elem.parts)
+        exps = sorted({p for p, _ in terms})
+        if len(exps) != 1:
             raise ParseError(f"non-homogeneous polar expression: r-exponents {exps}")
-        (k, U), = elem.parts.items()
-        if isinstance(k, Fraction):
-            if k.denominator != 1:
-                raise ParseError(f"degree must be an integer, got r^{k}")
-            k = int(k)
+        k, U = exps[0], _angular_part(terms)
         if U.is_constant():
             return Potential.radial(U.const, k)
         if not U.is_real():
             raise ParseError("polar angular part must have real coefficients")
         return Potential.polar(U, k)
 
-    rf = _eval_cartesian(ast)
-    if not rf.den:
-        raise ParseError("division by zero expression")
+    rf = _evaluate(ast, _CARTESIAN)
     num, den = _reduce_monomial_content(rf.num, rf.den)
     den_poly = _as_homopoly(den, "denominator")
     num_poly = _as_homopoly(num, "potential")
@@ -439,12 +343,7 @@ def parse_trig_poly(text: str) -> TrigPoly:
     names = {val for kind, val, _ in tokens if kind == "name"}
     if names & {"q1", "q2", "r"}:
         raise ParseError("U must be a trig polynomial in theta only")
-    elem = _eval_polar(_Parser(tokens).parse())
-    if not elem.parts:
-        return TrigPoly(0)
-    if set(elem.parts) != {0}:
-        raise ParseError("U must not contain r")
-    U = elem.parts[0]
+    U = _angular_part(_evaluate(_Parser(tokens).parse(), _POLAR).num)
     if not U.is_real():
         raise ParseError("U must have real coefficients")
     return U
@@ -505,7 +404,13 @@ def _trig_text(U: TrigPoly) -> str:
 
 
 def print_potential(V: Potential) -> str:
-    """Canonical text form; parse_potential(print_potential(V)) == V."""
+    """Text form that parses back to the same function.
+
+    parse_potential(print_potential(V)) == V for the polynomial, radial and
+    polar kinds.  The rational kind is not canonical: its numerator and
+    denominator may come back at another scale, e.g. parse_potential("3.5/q2")
+    prints as (7/2)/(q2), which parses to 7/(2*q2).
+    """
     if not V.exact:
         raise PotentialError("canonical text requires exact coefficients")
     if V.kind == POLYNOMIAL:

@@ -8,8 +8,9 @@ Four kinds are supported:
 * polar           V = r^k U(theta), U a trigonometric polynomial
 
 U is stored only as its Laurent coefficients c_j in z = e^{i theta}
-(`TrigPoly`): a product is a convolution, d/dtheta maps c_j to i j c_j,
-a rotation by delta to c_j e^{i j delta}, and theta -> -theta to c_-j.
+(`TrigPoly`): d/dtheta maps c_j to i j c_j, a rotation by delta to
+c_j e^{i j delta}, and theta -> -theta to c_-j.  The parser builds U in
+the same coordinates, where a product is a convolution (see parse.py).
 The polar jet is sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), and
 `TrigPoly.z_poly` is the polynomial z^M U whose roots `polar` takes.
 
@@ -242,33 +243,9 @@ class TrigPoly:
     def derivative(self) -> "TrigPoly":
         return TrigPoly._laurent({j: v * GaussianRational(0, j) for j, v in self.coeffs.items()})
 
-    def __add__(self, other):
-        if not isinstance(other, TrigPoly):
-            other = TrigPoly(other)
-        out = dict(self.coeffs)
-        for j, v in other.coeffs.items():
-            out[j] = out.get(j, _ZERO) + v
-        return TrigPoly._laurent(out)
-
-    def __neg__(self):
-        return TrigPoly._laurent({j: -v for j, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, s) -> "TrigPoly":
         g = scalar(s)
         return TrigPoly._laurent({j: v * g for j, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Laurent convolution; a scalar factor scales."""
-        if not isinstance(other, TrigPoly):
-            return self.scale(other)
-        out = {}
-        for j1, v1 in self.coeffs.items():
-            for j2, v2 in other.coeffs.items():
-                out[j1 + j2] = out.get(j1 + j2, _ZERO) + v1 * v2
-        return TrigPoly._laurent(out)
 
     def shift(self, cos_d, sin_d) -> "TrigPoly":
         """U(theta + d) given cos d and sin d (exact or float, d may be complex):
@@ -364,6 +341,8 @@ class Potential:
 
 def jet_at(V: Potential, c, L: int) -> TaylorJet:
     """Exact (when possible) Taylor jet of V at c up to derivative order L+1."""
+    if L < -1:
+        raise PotentialError(f"jet order L must be >= -1, got {L}")
     order = L + 1
     c = tuple(scalar(t) for t in c)
 
@@ -577,10 +556,7 @@ def _potential_from_json(obj) -> Potential:
     if kind == RATIONAL:
         return Potential.rational(_homopoly_from_json(obj["num"]), _homopoly_from_json(obj["den"]))
     if kind == RADIAL:
-        a = _gauss_from_json(obj["a"])
-        if isinstance(a, complex):
-            raise PotentialError("radial coefficient must be exact")
-        return Potential.radial(a, k)
+        return Potential.radial(_gauss_from_json(obj["a"]), k)
     if kind == POLAR:
         return Potential.polar(_trig_from_json(obj["U"]), k)
     raise PotentialError(f"unknown kind {kind!r}")

@@ -309,6 +309,14 @@ def test_cli_ve_build_polar_is_golden(capsys):
     assert out == (DATA / "golden_json" / "ve_04_polar_wave_l3.json").read_text()
 
 
+def test_cli_polar_analyze_is_golden(capsys):
+    # a power of a sum through parse_trig_poly; lambda = -41/11 exactly
+    code, out, _ = run_cli(capsys, "polar-analyze", "--U", "(1 + 1/10*cos(2*theta))^2",
+                           "--k", "-3", "--json")
+    assert code == 0
+    assert out == (DATA / "golden_polar_analyze.json").read_text()
+
+
 def test_cli_batch(capsys, tmp_path):
     out_csv = tmp_path / "summary.csv"
     code, out, _ = run_cli(capsys, "batch", str(DATA / "corpus"), "--out", str(out_csv))

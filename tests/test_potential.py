@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from homopot.darboux import find_darboux_points, normalize
 from homopot.parse import ParseError, parse_potential, parse_trig_poly, print_potential
 from homopot.potential import (HomoPoly, Potential, PotentialError,
                                SingularPointError, TrigPoly, euler_defect,
@@ -70,6 +71,11 @@ def test_parse_radial_and_polar():
     assert V.kind == "radial" and V.a == gr(5)
     V = parse_potential("r^-3*(1 + 1/10*cos(2*theta))")
     assert V.kind == "polar" and V.U.cos[2] == gr(Fraction(1, 10))
+    # a trig argument is evaluated first, then must be an integer multiple of theta
+    assert parse_trig_poly("sin(4*theta/2 - theta^1)") == parse_trig_poly("sin(theta)")
+    for arg in ("theta/2", "theta*theta", "theta + 1", "i*theta"):
+        with pytest.raises(ParseError, match="integer multiple of theta"):
+            parse_trig_poly(f"cos({arg})")
 
 
 def test_parse_rational_kind():
@@ -92,7 +98,9 @@ def test_parse_errors():
         parse_potential("cos(theta^2)*r^2")
     for parse, text in ((parse_potential, "q1^3/0"), (parse_potential, "r^-3/0"),
                         (parse_potential, "r^-3/(cos(theta)-cos(theta))"),
-                        (parse_trig_poly, "1/0")):
+                        (parse_trig_poly, "1/0"),
+                        (parse_potential, "q1^3 + q2^3/0^-1"),
+                        (parse_potential, "q1^3 + q2^3/(q1-q1)^-2")):
         with pytest.raises(ParseError, match="^division by zero expression$"):
             parse(text)
 
@@ -120,12 +128,16 @@ def test_json_roundtrip(rng):
                  "(q1^4 + q2^4)/(q1*q2)", "(1+2*i)*q1^3"):
         V = parse_potential(text)
         assert potential_from_json(potential_to_json(V)) == V
+    V = parse_potential("2*r^-3")
+    Vn = normalize(V, find_darboux_points(V).points[0])[0]  # a float radial coefficient
+    assert potential_from_json(potential_to_json(Vn)) == Vn
 
 
 # -- jets ----------------------------------------------------------------------
 
 def test_trig_poly_matches_the_cos_sin_form():
-    """Each TrigPoly operation against the float cos/sin form of its inputs."""
+    """Each TrigPoly operation, and the parser's product of two U, against
+    the float cos/sin form of its inputs."""
     rng = random.Random(20261018)
 
     def rand_coef():
@@ -148,10 +160,23 @@ def test_trig_poly_matches_the_cos_sin_form():
             acc += complex(b) * m**order * math.sin(m * th + order * math.pi / 2)
         return acc
 
+    def real_parts(parts):
+        const, cos, sin = parts
+        re = lambda d: {m: GaussianRational(v.re) for m, v in d.items()}
+        return GaussianRational(const.re), re(cos), re(sin)
+
+    def text(parts):
+        const, cos, sin = parts
+        return " + ".join([f"({const.re})"] + [f"({v.re})*{name}({m}*theta)"
+                                               for name, table in (("cos", cos), ("sin", sin))
+                                               for m, v in table.items()])
+
     delta = math.atan2(4, 3)
     for _ in range(40):
         pu, pv = rand_parts(), rand_parts()
-        U, V = TrigPoly(*pu), TrigPoly(*pv)
+        U = TrigPoly(*pu)
+        ru, rv = real_parts(pu), real_parts(pv)
+        product = parse_trig_poly(f"({text(ru)})*({text(rv)})")
         const, cos, sin = pu
         nonzero = lambda d: {m: v for m, v in d.items() if not v.is_zero()}
         assert (U.const, U.cos, U.sin) == (const, nonzero(cos), nonzero(sin))
@@ -161,7 +186,7 @@ def test_trig_poly_matches_the_cos_sin_form():
         for th in (0.0, 0.3, 1.1, 2.5, -0.7, 4.0):
             z = complex(math.cos(th), math.sin(th))
             checks = [
-                ((U * V).evaluate(th), value(pu, th) * value(pv, th)),
+                (product.evaluate(th), value(ru, th) * value(rv, th)),
                 (U.derivative().evaluate(th), value(pu, th, order=1)),
                 (U.shift(Fraction(3, 5), Fraction(4, 5)).evaluate(th), value(pu, th + delta)),
                 (U.flip().evaluate(th), value(pu, -th)),
@@ -257,6 +282,9 @@ def test_jet_singularities():
         jet_at(parse_potential("q1^3/q2"), (1, 0), 1)
     with pytest.raises(SingularPointError):
         jet_at(parse_potential("r^-3"), (1, gr(0, 1)), 1)  # isotropic point
+    for text in ("q1^3", "r^-3"):
+        with pytest.raises(PotentialError, match="order L must be >= -1"):
+            jet_at(parse_potential(text), (1, 0), -3)
 
 
 def test_euler_recurrence_at_normalized_point():
