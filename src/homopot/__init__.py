@@ -20,7 +20,7 @@ from .monodromy import (CommutativityClass, LoopSpec, PeriodValue,
 from .varequ import (VariationalSystem, VeExpr, build_higher_ve, monomial_basis,
                      sym_power_ve1, ve1_residual)
 from .polar import PolarVerdict, analyze_polar, critical_points, select_extremum
-from .report import AnalysisReport, AnalyzeOptions, analyze, batch
+from .report import AnalysisReport, analyze, batch
 
 _ORBIT_NAMES = {"OrbitParams", "Trajectory", "integrate_orbit", "integrate_ve",
                 "time_change_check"}
@@ -34,7 +34,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AnalysisReport", "AnalyzeOptions", "CommutativityClass", "DarbouxError",
+    "AnalysisReport", "CommutativityClass", "DarbouxError",
     "DarbouxPoint", "DarbouxSet", "HomoPoly", "LoopSpec", "MoralesVerdict",
     "OrbitParams", "ParseError", "PeriodValue", "PolarVerdict", "Potential",
     "PotentialError", "SingularPointError", "TableRow", "Trajectory", "TrigPoly",

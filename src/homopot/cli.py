@@ -17,7 +17,7 @@ from .darboux import DarbouxError, find_darboux_points, normalize
 from .monodromy import LoopSpec, g_verdict, period_closed_form, period_quadrature
 from .parse import parse_potential, parse_trig_poly
 from .potential import PotentialError, jet_at
-from .report import AnalyzeOptions, analyze, batch, report_json_text
+from .report import analyze, batch, report_json_text
 from .scalars import GaussianRational, parse_rational
 from .varequ import build_higher_ve
 
@@ -41,13 +41,9 @@ def _add_k5_option(p: argparse.ArgumentParser) -> None:
                         "the pattern-matching variant)")
 
 
-def _options(args) -> AnalyzeOptions:
-    return AnalyzeOptions(k5_variant=args.k5_variant)
-
-
 def cmd_analyze(args) -> int:
     try:
-        rep = analyze(args.potential, _options(args))
+        rep = analyze(args.potential, args.k5_variant)
     except (PotentialError, DarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -62,7 +58,7 @@ def cmd_polar_analyze(args) -> int:
     try:
         U = parse_trig_poly(args.U)
         verdict = polar.analyze_polar(U, args.k, args.k5_variant)
-    except (PotentialError, polar.PolarError) as exc:
+    except PotentialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
@@ -71,8 +67,8 @@ def cmd_polar_analyze(args) -> int:
         print(f"U = {args.U}, k = {args.k}")
         if verdict.theta0 is not None:
             print(f"theta0 = {verdict.theta0:.12g}")
-        if verdict.lam is not None:
-            print(f"lambda = {verdict.lam}")
+        if verdict.point is not None and verdict.point.lam is not None:
+            print(f"lambda = {verdict.point.lam}")
         print(f"classification: {verdict.classification}")
         if verdict.note:
             print(f"note: {verdict.note}")
@@ -196,7 +192,7 @@ def cmd_ve_build(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
-        result = batch(args.directory, _options(args))
+        result = batch(args.directory, args.k5_variant)
     except NotADirectoryError as exc:
         print(f"error: not a directory: {exc}", file=sys.stderr)
         return 2

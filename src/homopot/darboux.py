@@ -60,14 +60,19 @@ class DarbouxPoint:
     multiple: bool
     isotropic: bool
     direction_multiplicity: int = 1
-    lambda_cap: object = None     # Lambda(c): real lambda, else -inf
-    exact: bool = True
     residual: float = 0.0
-    degenerate_direction: Optional[tuple] = None
 
     @property
-    def eigenvalue(self):
-        return self.spectrum[1]
+    def exact(self) -> bool:
+        return is_exact(self.c)
+
+    @property
+    def lambda_cap(self):
+        """Lambda(c): lambda when it is real, else -inf."""
+        lam = self.spectrum[1]
+        if isinstance(lam, GaussianRational):
+            return lam.re if lam.is_real() else float("-inf")
+        return lam.real if abs(lam.imag) < 1e-9 * max(1.0, abs(lam)) else float("-inf")
 
     def to_json(self) -> dict:
         lam = self.spectrum[1]
@@ -181,14 +186,9 @@ def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -
         if residual > RESIDUAL_TOL * scale:
             raise DarbouxError(f"{c} is not a Darboux point (residual {residual:.2e})")
     kk1 = k * (k - 1)
-    if isinstance(lam, GaussianRational):
-        spectrum, cap = (GaussianRational(kk1), lam), lam.re if lam.is_real() else float("-inf")
-    else:
-        real = abs(lam.imag) < 1e-9 * max(1.0, abs(lam))
-        spectrum, cap = (complex(kk1), lam), lam.real if real else float("-inf")
+    spectrum = (GaussianRational(kk1) if isinstance(lam, GaussianRational) else complex(kk1), lam)
     return DarbouxPoint(c=c, spectrum=spectrum, multiple=multiple, isotropic=iso,
-                        direction_multiplicity=m, lambda_cap=cap, residual=residual,
-                        exact=is_exact(c))
+                        direction_multiplicity=m, residual=residual)
 
 
 def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,

@@ -9,6 +9,12 @@ decided exactly over the rationals by solving each row's quadratic.
 The published k=5 row breaks the (10/3 + 10i)^2 pattern of its sibling
 and reads (4 + 6i)^2; both variants ship, selected by k5_variant
 ("printed" keeps the published value, "tenj" uses (4 + 10i)^2).
+
+`eigenvalue_verdict` is the one place a Hessian eigenvalue is decided
+against the table, for `analyze`, `batch` and `polar-analyze` alike: an
+exact lambda goes to the table, a float one is inadmissible when it is
+clearly non-real, else it is reconstructed as a small-denominator
+rational for the table or stays indeterminate.
 """
 
 from __future__ import annotations
@@ -17,14 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import rational_sqrt
+from .scalars import GaussianRational, rational_sqrt
 
 Q = Fraction
 
 K5_PRINTED = "printed"
 K5_TENJ = "tenj"
 
-MAX_DENOMINATOR = 1000  # the cap when analyze reconstructs a float eigenvalue
+MAX_DENOMINATOR = 1000  # the cap when a float eigenvalue is reconstructed
+
+ST_ADMISSIBLE = "admissible"
+ST_INADMISSIBLE = "inadmissible"
+ST_INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,52 @@ def reconstruct_rational(x: float, max_denominator: int = 64,
     if abs(x - float(cand)) < tol:
         return cand
     return None
+
+
+@dataclass
+class PointVerdict:
+    """The table's answer for one Hessian eigenvalue."""
+
+    status: str                     # ST_ADMISSIBLE, ST_INADMISSIBLE or ST_INDETERMINATE
+    lam: object = None              # Fraction when decided exactly, else float
+    morales: Optional[MoralesVerdict] = None
+    reason: str = ""
+
+    @property
+    def lam_exact(self) -> bool:
+        return isinstance(self.lam, Fraction)
+
+    def to_json(self) -> dict:
+        out = {"status": self.status, "reason": self.reason}
+        if self.lam is not None:
+            out["lambda"] = str(self.lam) if self.lam_exact else self.lam
+            out["lambda_exact"] = self.lam_exact
+        if self.morales is not None:
+            out["morales"] = self.morales.to_json()
+        return out
+
+
+def eigenvalue_verdict(k: int, lam, k5_variant: str = K5_PRINTED) -> PointVerdict:
+    """Decide the Hessian eigenvalue lam of a degree-k potential against the
+    table: lam is a GaussianRational when exact, else a float or complex."""
+    if isinstance(lam, GaussianRational):
+        if not lam.is_real():
+            return PointVerdict(ST_INADMISSIBLE,
+                                reason="non-real Hessian eigenvalue (table rows are real)")
+        lam_q, reason = lam.re, "exact rational eigenvalue"
+    else:
+        z = complex(lam)
+        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+            return PointVerdict(ST_INADMISSIBLE,
+                                reason="non-real Hessian eigenvalue (table rows are real)")
+        lam_q = reconstruct_rational(z.real, MAX_DENOMINATOR)
+        if lam_q is None:
+            return PointVerdict(ST_INDETERMINATE, lam=z.real,
+                                reason="eigenvalue not recognizably rational")
+        reason = f"rational reconstruction of {z.real!r}"
+    verdict = admissible(k, lam_q, k5_variant)
+    return PointVerdict(ST_ADMISSIBLE if verdict.admissible else ST_INADMISSIBLE,
+                        lam=lam_q, morales=verdict, reason=reason)
 
 
 def admissible_values_at_most(k: int, bound: Fraction,

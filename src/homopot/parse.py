@@ -22,7 +22,9 @@ may divide only by c*r^p, so its denominator stays 1 and U is read off the
 z-exponents.  A cos/sin argument is evaluated in the same ring with theta
 as its only variable and must come out as m*theta, m an integer.
 Dividing by an expression that is identically zero is an error wherever
-it happens.
+it happens.  A power of a sum is refused before it is expanded when its
+expansion could have more than MAX_POWER_TERMS terms, which bounds the
+parse time; a power of a single term is never refused.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from typing import NamedTuple
 from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
                         POLYNOMIAL, RATIONAL, RADIAL, POLAR)
 from .scalars import GaussianRational
+
+MAX_POWER_TERMS = 128  # a larger expansion of a power of a sum is refused
 
 
 class ParseError(PotentialError):
@@ -205,8 +209,9 @@ class _RatFunc:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
 
@@ -258,8 +263,23 @@ def _evaluate(node: Node, g: _Grammar) -> _RatFunc:
         return _evaluate(args[0], g) * _invert(_evaluate(args[1], g), g.polar)
     if op == "pow":
         base, n = _evaluate(args[0], g), args[1]
+        size = max(_power_size(base.num, abs(n)), _power_size(base.den, abs(n)))
+        if size > MAX_POWER_TERMS:
+            raise ParseError(f"power too large: its expansion may have {size} terms, "
+                             f"more than {MAX_POWER_TERMS}", node.pos)
         return (base if n >= 0 else _invert(base, g.polar)) ** abs(n)
     raise ParseError(g.refusal.format(args[0] if op == "var" else op), node.pos)
+
+
+def _power_size(f: dict, n: int) -> int:
+    """A bound on the number of terms of f^n, before expanding it: the
+    exponents of f^n lie in n times the box spanned by those of f, in each
+    of the coordinate pairs (a, b), (a, a + b) and (b, a + b).  It is 1 for
+    a single term."""
+    if len(f) < 2:
+        return 1
+    da, db, ds = (max(e) - min(e) for e in zip(*((a, b, a + b) for a, b in f)))
+    return min((n * x + 1) * (n * y + 1) for x, y in ((da, db), (da, ds), (db, ds)))
 
 
 def _trig_multiple(node: Node) -> int:

@@ -1,4 +1,4 @@
-"""Classification pipeline for real-analytic potentials V = r^k U(theta).
+"""Polar geometry of V = r^k U(theta) and the verdict at its extremal point.
 
 Every critical point theta0 of U with U(theta0) != 0 gives a Darboux
 point of V with spectrum {k(k-1), U''(theta0)/U(theta0) + k}.  A
@@ -11,8 +11,10 @@ angle.  Choosing the extremum by the sign pattern of max U / min U
 guarantees U(theta0) != 0 and a second eigenvalue <= k, which for
 negative k pins the verdict: either the eigenvalue is inadmissible (not
 integrable), or it equals k and the point is multiple (only the
-rotation-invariant potential survives).  Degree -2 is
-unconditionally integrable."""
+rotation-invariant potential survives).  `analyze_polar` reports that
+point: multiple when z0 is a multiple root of z^M U' (the theorem
+decides), else the table's answer through `morales.eigenvalue_verdict`,
+the function `analyze` uses.  Degree -2 is unconditionally integrable."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import morales
+from .morales import K5_PRINTED, ST_ADMISSIBLE, ST_INADMISSIBLE, eigenvalue_verdict
 from .potential import PotentialError, TrigPoly
 from .scalars import GaussianRational, to_complex
 from .upoly import roots
@@ -117,25 +119,23 @@ class PolarVerdict:
     classification: str
     k: int
     theta0: Optional[float] = None
-    lam: object = None                # Fraction when exact, float otherwise
-    lam_exact: bool = False
-    morales: Optional[morales.MoralesVerdict] = None
+    point: object = None              # morales.PointVerdict at theta0
     note: str = ""
 
     def to_json(self) -> dict:
         out = {"classification": self.classification, "k": self.k, "note": self.note}
         if self.theta0 is not None:
             out["theta0"] = self.theta0
-        if self.lam is not None:
-            out["lambda"] = str(self.lam) if self.lam_exact else float(self.lam)
-            out["lambda_exact"] = self.lam_exact
-        if self.morales is not None:
-            out["morales"] = self.morales.to_json()
+        if self.point is not None:
+            point = self.point.to_json()
+            if self.classification == MULTIPLE_POINT:
+                point.pop("morales", None)  # the theorem decides a multiple point, not the table
+            out.update((key, point[key]) for key in ("lambda", "lambda_exact", "morales")
+                       if key in point)
         return out
 
 
-def analyze_polar(U: TrigPoly, k: int,
-                  k5_variant: str = morales.K5_PRINTED) -> PolarVerdict:
+def analyze_polar(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> PolarVerdict:
     """Integrability verdict for V = r^k U(theta) with k < 0."""
     if k >= 0:
         raise PolarError("the polar classification applies to negative degrees only")
@@ -151,31 +151,21 @@ def analyze_polar(U: TrigPoly, k: int,
         return PolarVerdict(RADIAL_INTEGRABLE, k,
                             note="rotation-invariant potential; the angular momentum "
                                  "is a first integral")
-    theta0, z0, _ = select_extremum(U)
-    lam = eigenvalue_at(U, k, z0)
-
-    if isinstance(lam, GaussianRational):
-        lam_q = lam.re
-    else:
-        lam_q = morales.reconstruct_rational(lam, morales.MAX_DENOMINATOR)
-        if lam_q is None:
-            return PolarVerdict(INDETERMINATE, k, theta0=theta0, lam=lam,
-                                lam_exact=False,
-                                note="eigenvalue is not recognizably rational; "
-                                     "table membership undecided")
-    if lam_q == k:
-        return PolarVerdict(MULTIPLE_POINT, k, theta0=theta0, lam=lam_q,
-                            lam_exact=True,
-                            note="U''(theta0) = 0: multiple Darboux point; only the "
-                                 "rotation-invariant potential is integrable with one")
-    verdict = morales.admissible(k, lam_q, k5_variant)
-    if verdict.admissible:
+    theta0, z0, m = select_extremum(U)
+    point = eigenvalue_verdict(k, eigenvalue_at(U, k, z0), k5_variant)
+    if m > 1:
+        classification = MULTIPLE_POINT
+        note = ("U''(theta0) = 0: multiple Darboux point; only the "
+                "rotation-invariant potential is integrable with one")
+    elif point.status == ST_INADMISSIBLE:
+        classification = NON_INTEGRABLE
+        note = ("Hessian eigenvalue at the extremal Darboux point is not in the "
+                "admissibility table")
+    elif point.status == ST_ADMISSIBLE:
         # cannot happen for k < 0, k != -2 (the only admissible value <= k is k)
-        return PolarVerdict(INDETERMINATE, k, theta0=theta0, lam=lam_q,
-                            lam_exact=True, morales=verdict,
-                            note="admissible eigenvalue below k: unexpected for "
-                                 "negative degree")
-    return PolarVerdict(NON_INTEGRABLE, k, theta0=theta0, lam=lam_q,
-                        lam_exact=True, morales=verdict,
-                        note="Hessian eigenvalue at the extremal Darboux point is "
-                             "not in the admissibility table")
+        classification = INDETERMINATE
+        note = "admissible eigenvalue below k: unexpected for negative degree"
+    else:
+        classification = INDETERMINATE
+        note = "eigenvalue is not recognizably rational; table membership undecided"
+    return PolarVerdict(classification, k, theta0=theta0, point=point, note=note)

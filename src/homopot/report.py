@@ -1,6 +1,9 @@
 """Analysis orchestration: the full Darboux/eigenvalue-table pipeline and
 batch runs with machine-readable reports.
 
+Each Darboux point's eigenvalue is decided by `morales.eigenvalue_verdict`;
+this module aggregates those point verdicts with the multiplicity data.
+
 Overall verdicts:
 
 * non_integrable_by_morales_ramis - some Darboux point carries an
@@ -22,8 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, morales
+from . import __version__
 from .darboux import DarbouxSet, find_darboux_points
+from .morales import K5_PRINTED, ST_INADMISSIBLE, ST_INDETERMINATE, eigenvalue_verdict
 from .parse import parse_potential
 from .potential import Potential, potential_to_json, potential_from_json
 from .scalars import GaussianRational
@@ -32,34 +36,6 @@ NON_INTEGRABLE = "non_integrable_by_morales_ramis"
 PASSES = "passes_first_order_tests"
 RADIAL_CANDIDATE = "multiple_point_radial_candidate"
 INDETERMINATE = "indeterminate"
-
-ST_ADMISSIBLE = "admissible"
-ST_INADMISSIBLE = "inadmissible"
-ST_INDETERMINATE = "indeterminate"
-
-
-@dataclass
-class AnalyzeOptions:
-    k5_variant: str = morales.K5_PRINTED
-
-
-@dataclass
-class PointVerdict:
-    status: str
-    lam: object = None              # Fraction when decided exactly
-    lam_exact: bool = False
-    morales: Optional[morales.MoralesVerdict] = None
-    reason: str = ""
-
-    def to_json(self) -> dict:
-        out = {"status": self.status, "reason": self.reason}
-        if self.lam is not None:
-            out["lambda"] = str(self.lam) if self.lam_exact else self.lam
-            out["lambda_exact"] = self.lam_exact
-        if self.morales is not None:
-            out["morales"] = self.morales.to_json()
-        return out
-
 
 @dataclass
 class AnalysisReport:
@@ -129,35 +105,9 @@ def _fmt_point(c) -> str:
     return f"({one(c[0])}, {one(c[1])})"
 
 
-def _eigenvalue_verdict(point, k: int, opts: AnalyzeOptions) -> PointVerdict:
-    lam = point.spectrum[1]
-    if isinstance(lam, GaussianRational):
-        if not lam.is_real():
-            return PointVerdict(ST_INADMISSIBLE, lam=None,
-                                reason="non-real Hessian eigenvalue (table rows are real)")
-        lam_q = lam.re
-        verdict = morales.admissible(k, lam_q, opts.k5_variant)
-        return PointVerdict(ST_ADMISSIBLE if verdict.admissible else ST_INADMISSIBLE,
-                            lam=lam_q, lam_exact=True, morales=verdict,
-                            reason="exact rational eigenvalue")
-    z = complex(lam)
-    if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-        return PointVerdict(ST_INADMISSIBLE, lam=None,
-                            reason="non-real Hessian eigenvalue (table rows are real)")
-    lam_q = morales.reconstruct_rational(z.real, morales.MAX_DENOMINATOR)
-    if lam_q is None:
-        return PointVerdict(ST_INDETERMINATE, lam=z.real, lam_exact=False,
-                            reason="eigenvalue not recognizably rational")
-    verdict = morales.admissible(k, lam_q, opts.k5_variant)
-    return PointVerdict(ST_ADMISSIBLE if verdict.admissible else ST_INADMISSIBLE,
-                        lam=lam_q, lam_exact=True, morales=verdict,
-                        reason=f"rational reconstruction of {z.real!r}")
-
-
-def analyze(source, options: Optional[AnalyzeOptions] = None) -> AnalysisReport:
+def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
     """The full pipeline: parse, locate Darboux points, classify, test the
     table, aggregate."""
-    opts = options or AnalyzeOptions()
     started = time.perf_counter()
     if isinstance(source, Potential):
         V = source
@@ -171,7 +121,8 @@ def analyze(source, options: Optional[AnalyzeOptions] = None) -> AnalysisReport:
     if dset.degenerate_directions:
         notes.append(f"{len(dset.degenerate_directions)} degenerate direction(s) "
                      "with no finite Darboux point")
-    point_verdicts = [_eigenvalue_verdict(p, V.degree, opts) for p in dset.points]
+    point_verdicts = [eigenvalue_verdict(V.degree, p.spectrum[1], k5_variant)
+                      for p in dset.points]
 
     is_radial = dset.continuum
     any_multiple = any(p.multiple for p in dset.points)
@@ -227,24 +178,23 @@ def _read_potential_file(path: Path) -> Potential:
     return parse_potential(text)
 
 
-def _analyze_file(path: Path, opts: AnalyzeOptions):
+def _analyze_file(path: Path, k5_variant: str):
     try:
-        return path.name, analyze(_read_potential_file(path), opts), None
+        return path.name, analyze(_read_potential_file(path), k5_variant), None
     except (ValueError, OSError) as exc:
         return path.name, None, exc
 
 
-def batch(directory, options: Optional[AnalyzeOptions] = None) -> BatchResult:
+def batch(directory, k5_variant: str = K5_PRINTED) -> BatchResult:
     """Analyze every potential file in a directory, in filename order, one
     after another."""
-    opts = options or AnalyzeOptions()
     base = Path(directory)
     if not base.is_dir():
         raise NotADirectoryError(str(base))
     files = [p for p in sorted(base.iterdir(), key=lambda p: p.name)
              if not p.is_dir() and not p.name.startswith(".")]
     reports, errors, rows = [], [], []
-    for name, rep, exc in (_analyze_file(p, opts) for p in files):
+    for name, rep, exc in (_analyze_file(p, k5_variant) for p in files):
         if exc is not None:
             errors.append((name, str(exc)))
             rows.append((name, "", "", "", f"error: {exc.__class__.__name__}"))

@@ -122,7 +122,10 @@ class UPoly:
 class Root:
     value: object            # GaussianRational (exact) or complex
     multiplicity: int
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.value, GaussianRational)
 
     def as_complex(self) -> complex:
         return to_complex(self.value)
@@ -293,7 +296,7 @@ def roots(p: UPoly):
         zs = _real_factor_roots(f) if real else _scaled_aberth_roots(f)
         for z in zs:
             g = _exact_candidate(f, lead, z)
-            result.append(Root(z, m, False) if g is None else Root(g, m, True))
+            result.append(Root(z if g is None else g, m))
     return _sorted_roots(result)
 
 

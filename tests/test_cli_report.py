@@ -270,6 +270,30 @@ def test_cli_morales_k5_variant(capsys):
     assert json.loads(out_tenj)["admissible"] is True
 
 
+# (1, 0) is an exact point with lambda = 27/8 = -9/8 + (4 + 10i)^2/8 at i = -1
+K5_TEXT = "q1^5 + 27/16*q1^3*q2^2 + q2^5"
+
+
+def _axis_status(report: dict) -> str:
+    """The status of the point (1, 0) in an analyze --json report."""
+    (status,) = [pv["status"] for p, pv in zip(report["darboux"]["points"], report["points"])
+                 if p["c"] == ["1", "0"]]
+    return status
+
+
+def test_analyze_honours_the_k5_variant(capsys, tmp_path):
+    assert _axis_status(analyze(K5_TEXT).to_json()) == "inadmissible"
+    assert _axis_status(analyze(K5_TEXT, k5_variant="printed").to_json()) == "inadmissible"
+    assert _axis_status(analyze(K5_TEXT, k5_variant="tenj").to_json()) == "admissible"
+    code, out, _ = run_cli(capsys, "analyze", K5_TEXT, "--k5-variant", "tenj", "--json")
+    assert code == 0 and _axis_status(json.loads(out)) == "admissible"
+    (tmp_path / "k5.pot").write_text(K5_TEXT)
+    ((_, rep),) = batch(tmp_path, k5_variant="tenj").reports
+    assert _axis_status(rep.to_json()) == "admissible"
+    code, out, _ = run_cli(capsys, "batch", str(tmp_path), "--k5-variant", "tenj", "--json")
+    assert code == 0 and _axis_status(json.loads(out)["reports"]["k5.pot"]) == "admissible"
+
+
 def test_cli_monodromy_period(capsys):
     code, out, _ = run_cli(capsys, "monodromy-period", "--alpha", "-1/2", "--j", "1",
                            "--json")
@@ -315,6 +339,22 @@ def test_cli_polar_analyze_is_golden(capsys):
                            "--k", "-3", "--json")
     assert code == 0
     assert out == (DATA / "golden_polar_analyze.json").read_text()
+
+
+@pytest.mark.parametrize("golden, U, k, fmt", [
+    # U = 1 - sin^4: a triple root of z^M U' at the extremum, so the
+    # theorem decides and the report carries no table block
+    ("multiple.json", "5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)", "-3", "--json"),
+    ("multiple.txt", "5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)", "-3", None),
+    # an irrational extremum angle: a float lambda with no small rational
+    ("indeterminate.json", "1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)", "-3", "--json"),
+    ("radial.json", "5", "-3", "--json"),
+    ("degree_minus_two.json", "1 + 1/10*cos(2*theta)", "-2", "--json"),
+])
+def test_cli_polar_analyze_branches_are_golden(capsys, golden, U, k, fmt):
+    code, out, _ = run_cli(capsys, "polar-analyze", "--U", U, "--k", k, *filter(None, [fmt]))
+    assert code == 0
+    assert out == (DATA / f"golden_polar_analyze_{golden}").read_text()
 
 
 def test_cli_batch(capsys, tmp_path):

@@ -5,8 +5,10 @@ parser and in `analyze`."""
 import random
 import time
 
+import pytest
+
 from homopot.potential import PotentialError
-from homopot.parse import parse_potential, parse_trig_poly
+from homopot.parse import MAX_POWER_TERMS, parse_potential, parse_trig_poly
 from homopot.report import analyze
 
 N_INPUTS = 1000
@@ -19,6 +21,12 @@ BAD_TRIG_ARGS = ("theta^2", "theta*theta", "1/2*theta", "theta + 1", "0.5*theta"
                  "1/theta", "2*theta^1", "theta/(theta - theta)")
 ZERO_INVERSIONS = ("(q1 - q1)^-1", "0^-1", "1/0", "1/(q2 - q2)", "(0)^-2")
 POLAR_ZERO_INVERSIONS = ("1/(cos(theta) - cos(theta))", "1/(r - r)", "(0*r)^-1", "1/0")
+# powers of a sum whose expansion may have up to MAX_POWER_TERMS = 128 terms,
+# and the next exponent of each, which is refused
+AT_POWER_CAP = ("(q1 + q2)^127*q1", "(q1 - 2*q2)^-127*q1^130", "r^-3*(1 + cos(theta))^63",
+                "(1 + 1/2*cos(2*theta))^31", "(q1 + q2 + 1)^10")
+ABOVE_POWER_CAP = ("(q1 + q2)^128*q1", "(q1 - 2*q2)^-128*q1^131", "r^-3*(1 + cos(theta))^64",
+                   "(1 + 1/2*cos(2*theta))^32", "(q1 + q2 + 1)^11")
 
 
 def _coef(rng) -> str:
@@ -122,22 +130,57 @@ def fuzz_inputs(seed: int, n: int) -> list:
     return out
 
 
-def test_every_grammar_input_returns_or_raises_potential_error():
-    for text in fuzz_inputs(20261018, N_INPUTS):
-        started = time.perf_counter()
+def _returns_or_raises_in_time(text: str):
+    started = time.perf_counter()
+    try:
+        V = parse_potential(text)
+    except PotentialError:
+        V = None
+    if "theta" in text or "r" in text:   # a polar string
         try:
-            V = parse_potential(text)
+            parse_trig_poly(text)
         except PotentialError:
-            V = None
-        if "theta" in text or "r" in text:   # a polar string
-            try:
-                parse_trig_poly(text)
-            except PotentialError:
-                pass
-        if V is not None:
-            try:
-                analyze(V)
-            except PotentialError:
-                pass
-        elapsed = time.perf_counter() - started
-        assert elapsed < TIME_LIMIT_S, (text, elapsed)
+            pass
+    if V is not None:
+        try:
+            analyze(V)
+        except PotentialError:
+            pass
+    elapsed = time.perf_counter() - started
+    assert elapsed < TIME_LIMIT_S, (text, elapsed)
+
+
+def test_every_grammar_input_returns_or_raises_potential_error():
+    for text in fuzz_inputs(20261018, N_INPUTS) + list(AT_POWER_CAP + ABOVE_POWER_CAP):
+        _returns_or_raises_in_time(text)
+
+
+def test_power_cap_refuses_just_above_it():
+    assert MAX_POWER_TERMS == 128
+    for text in AT_POWER_CAP:
+        try:
+            parse_potential(text)
+        except PotentialError as exc:
+            assert "non-homogeneous" in str(exc), text
+    for text in ABOVE_POWER_CAP:
+        with pytest.raises(PotentialError, match="power too large"):
+            parse_potential(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(q1+q2+1)^32", "(q1+q2+1)^64", "r^-3*(1+cos(theta)+sin(2*theta))^64",
+    "r^-3*(1+cos(theta))^128", "(q1+q2)^128*q1"])
+def test_power_of_a_sum_parses_fast_or_is_refused_at_once(text):
+    started = time.perf_counter()
+    try:
+        parse_potential(text)
+        limit = 0.5
+    except PotentialError:
+        limit = 0.01
+    elapsed = time.perf_counter() - started
+    assert elapsed < limit, (text, elapsed)
+
+
+def test_power_of_one_term_is_not_capped():
+    assert parse_potential("q1^1000").degree == 1000
+    assert parse_potential("(2*i*q1*q2^-1)^300*q2^301").degree == 301

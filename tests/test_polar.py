@@ -77,8 +77,8 @@ def test_selected_extremum_guarantees(rng):
 def test_analyze_example_exact():
     v = polar.analyze_polar(U_example(), -3)
     assert v.classification == polar.NON_INTEGRABLE
-    assert v.lam == Q(-37, 11) and v.lam_exact
-    assert v.morales is not None and not v.morales.admissible
+    assert v.point.lam == Q(-37, 11) and v.point.lam_exact
+    assert v.point.morales is not None and not v.point.morales.admissible
 
 
 def test_analyze_radial_and_degree_minus_two():
@@ -100,7 +100,7 @@ def test_multiple_point_detection():
     U = parse_trig_poly("5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)")
     v = polar.analyze_polar(U, -3)
     assert v.classification == polar.MULTIPLE_POINT
-    assert v.lam == Q(-3)
+    assert v.point.lam == Q(-3)
 
 
 def test_indeterminate_gate():
@@ -108,7 +108,7 @@ def test_indeterminate_gate():
     U = parse_trig_poly("1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)")
     v = polar.analyze_polar(U, -3)
     assert v.classification == polar.INDETERMINATE
-    assert not v.lam_exact
+    assert not v.point.lam_exact
 
 
 def _angle(p):
@@ -169,4 +169,4 @@ def test_exact_eigenvalue_on_a_pythagorean_direction():
     ref = classify(V, p.c)
     assert abs(to_complex(ref.spectrum[1]) + 5.5) < 1e-9
     v = polar.analyze_polar(V.U, -5)
-    assert v.lam == Q(-11, 2) and v.lam_exact
+    assert v.point.lam == Q(-11, 2) and v.point.lam_exact
