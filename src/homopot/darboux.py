@@ -29,6 +29,7 @@ at a given point, for `normalize` and as a reference.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -153,7 +154,8 @@ def _principal_scaling(rho, m: int):
     Other branches give rotation-equivalent Darboux points and are not
     enumerated.  A real rho > 0 gets its real root, and a negative real
     rho the principal (complex) one, also when its float imaginary part
-    is -0.0.
+    is -0.0.  An exact rho beyond double range takes its logarithm from
+    its exact parts, and raises DarbouxError when gamma is beyond it too.
     """
     if m == 0:
         raise DarbouxError("degree k=2 has no radial scaling")
@@ -172,7 +174,21 @@ def _principal_scaling(rho, m: int):
             ex = rational_nth_root(base, abs(m))
             if ex is not None:
                 return GaussianRational(ex)
-    z = to_complex(rho) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
+    try:
+        z = to_complex(rho) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
+    except OverflowError:
+        z = 0j
+    if z == 0:  # an exact rho beyond double range: log rho from its exact parts
+        n2 = rho.norm2()
+        arg = cmath.phase(complex(rho / max(abs(rho.re), abs(rho.im))))
+        log_rho = complex((math.log(n2.numerator) - math.log(n2.denominator)) / 2, arg)
+        try:
+            gamma = cmath.exp(log_rho / m)
+        except OverflowError:
+            gamma = 0j
+        if gamma == 0:
+            raise DarbouxError(f"gamma^{m} = rho with log|rho| = {log_rho.real:.6g} is beyond double range")
+        return gamma
     if z.imag == 0 and z.real > 0:
         return complex(z.real ** (1 / m))
     return cmath.exp(cmath.log(z) / m)

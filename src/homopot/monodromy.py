@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 Q = Fraction
 
 NON_COMMUTATIVE = "non_commutative"
@@ -138,7 +136,27 @@ class LoopSpec:
 
 @functools.cache
 def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
+
+    Each node is a root of the Legendre polynomial P_n, found by Newton's
+    method on the three-term recurrence from cos(pi (i + 3/4) / (n + 1/2));
+    its weight is 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    nodes, weights = [], []
+    for i in reversed(range(n)):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
 
 
 class _BranchState:

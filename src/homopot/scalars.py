@@ -68,8 +68,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     # -- constructors -------------------------------------------------
 
@@ -84,17 +84,19 @@ class GaussianRational:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     # -- arithmetic ----------------------------------------------------
+    # An operand that is already a GaussianRational skips `coerce`, and a
+    # real factor or divisor costs two Fraction operations, not four.
 
     def __add__(self, other):
         if isinstance(other, complex):
             return complex(self) + other
-        o = GaussianRational.coerce(other)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -103,7 +105,10 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other)) if not isinstance(other, complex) else complex(self) - other
+        if isinstance(other, complex):
+            return complex(self) - other
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -111,7 +116,11 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, complex):
             return complex(self) * other
-        o = GaussianRational.coerce(other)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if not o.im:
+            return GaussianRational(self.re * o.re, self.im * o.re)
+        if not self.im:
+            return GaussianRational(self.re * o.re, self.re * o.im)
         return GaussianRational(self.re * o.re - self.im * o.im,
                                 self.re * o.im + self.im * o.re)
 
@@ -120,10 +129,12 @@ class GaussianRational:
     def __truediv__(self, other):
         if isinstance(other, complex):
             return complex(self) / other
-        o = GaussianRational.coerce(other)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        if not o.im:
+            if not o.re:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return GaussianRational(self.re / o.re, self.im / o.re)
         n2 = o.re * o.re + o.im * o.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
         return GaussianRational((self.re * o.re + self.im * o.im) / n2,
                                 (self.im * o.re - self.re * o.im) / n2)
 
@@ -156,7 +167,8 @@ class GaussianRational:
     # -- conversions / protocol --------------------------------------
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        re, im = self.re, self.im  # int / int rounds once, as float(Fraction) does
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     def __abs__(self) -> float:
         return abs(complex(self))

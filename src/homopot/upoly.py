@@ -1,7 +1,9 @@
 """Univariate polynomials over Q(i) and their roots with multiplicities.
 
 ``roots`` takes one path.  Yun's square-free decomposition splits p
-exactly into factors f_m whose roots have multiplicity m.  Aberth-Ehrlich
+exactly into factors f_m whose roots have multiplicity m; a p whose image
+mod the prime P = 2^61 - 31 is coprime to its derivative is certified
+square-free there and skips Yun.  Aberth-Ehrlich
 iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
 is u/q with q dividing the leading coefficient L of f_m scaled to
 Gaussian integers, so each float root z has the one candidate
@@ -192,11 +194,25 @@ def aberth_roots(coeffs_complex):
 
 
 def square_free_factors(p: UPoly):
-    """Yun's decomposition: [(f, m)] with p = lc(p) * prod f^m.
+    """[(f, m)] with p = lc(p) * prod f^m, m increasing.
 
     Each f is monic, square-free and of positive degree, and the f are
     pairwise coprime, so every root of f has multiplicity exactly m in p.
+    The root 0, of multiplicity v, is split off first, so that Yun does
+    not loop v times over it; a p whose image mod P is square-free is
+    square-free itself and skips Yun.
     """
+    v = next(j for j, c in enumerate(p.coeffs) if not c.is_zero())
+    rest = UPoly(p.coeffs[v:])
+    out = [(rest.monic(), 1)] if rest.degree > 0 and _square_free_mod_p(rest) else _yun(rest)
+    if v:  # s^v goes back into the factor of multiplicity v
+        with_s = [(UPoly([0] + f.coeffs), m) for f, m in out if m == v] or [(UPoly([0, 1]), v)]
+        out = sorted([(f, m) for f, m in out if m != v] + with_s, key=lambda fm: fm[1])
+    return out
+
+
+def _yun(p: UPoly):
+    """Yun's square-free decomposition of p, as for square_free_factors."""
     dp = p.derivative()
     a = p.gcd(dp)
     b = p // a
@@ -211,6 +227,54 @@ def square_free_factors(p: UPoly):
         d = d // f - b.derivative()
         m += 1
     return out
+
+
+# -- the square-free certificate mod P ----------------------------------------
+# P = 2^61 - 31 is prime and P = 1 mod 4, so i maps to a square root of -1
+# in F_P and one prime serves real and Gaussian coefficients alike.
+
+P = 2**61 - 31
+I_MOD_P = 583529827753931384  # I_MOD_P^2 = -1 mod P
+
+
+def _mod_p(c: GaussianRational):
+    """The image of c in F_P under i -> I_MOD_P, or None when P divides a
+    denominator of c."""
+    if c.re.denominator % P == 0 or c.im.denominator % P == 0:
+        return None
+    return (c.re.numerator * pow(c.re.denominator, -1, P)
+            + I_MOD_P * c.im.numerator * pow(c.im.denominator, -1, P)) % P
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """The remainder of a by b in F_P[x]; lists low to high, b[-1] != 0."""
+    a = list(a)
+    inv = pow(b[-1], -1, P)
+    for k in reversed(range(len(a) - len(b) + 1)):
+        c = a[k + len(b) - 1] * inv % P
+        if c:
+            for j, bj in enumerate(b):
+                a[k + j] = (a[k + j] - c * bj) % P
+    del a[len(b) - 1:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _square_free_mod_p(p: UPoly) -> bool:
+    """True when the image of p in F_P[x] keeps p's degree and is coprime
+    to its derivative.
+
+    Reduction mod P then maps the discriminant of p to a nonzero value,
+    so p is square-free over Q(i).  False says nothing.
+    """
+    w = [_mod_p(c) for c in p.coeffs]
+    if None in w or not w[-1] or p.degree >= P:
+        return False
+    a, b = w, [j * c % P for j, c in enumerate(w)][1:]
+    while b:
+        a, b = b, _rem_mod_p(a, b)
+    return len(a) == 1
 
 
 def _log2(c: GaussianRational) -> int:

@@ -86,6 +86,8 @@ def _case(text, outcome, name=None):
     _case(f"q1^3 + {10**400}*q2^3 + q1^2*q2", "DarbouxError", "q1^3 + 10^400*q2^3 + q1^2*q2"),
     # |s| > 1 puts |W(s)| in doubles far above its exact value at the float s
     _case(DEGREE_10_LINEAR_FORMS, "3", "degree-10 product of linear forms"),
+    # the root s = 0 of W has multiplicity 2999: split off before Yun
+    _case("q1^2*q2^3000 + q2^3002", "3"),
 ])
 def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
@@ -94,6 +96,15 @@ def test_analyze_finishes_in_bounded_time(text, outcome):
     proc = subprocess.run([sys.executable, "-c", CHILD_ANALYZE, text], env=env,
                           check=True, timeout=5, capture_output=True, text=True)
     assert proc.stdout.strip() == outcome
+
+
+def test_analyze_does_not_import_numpy():
+    # numpy and scipy serve orbit integration only, which imports them lazily
+    env = dict(os.environ, PYTHONPATH=str(Path(homopot.__file__).parents[1]))
+    code = 'import sys, homopot; homopot.analyze("q1^2*q2"); print("numpy" in sys.modules)'
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          check=True, timeout=30, capture_output=True, text=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("text, lam", [

@@ -331,6 +331,17 @@ def test_negative_scaling_takes_the_principal_root():
         assert abs(cmath.phase(gamma) - cmath.pi / 3) < 1e-12
 
 
+def test_exact_scaling_beyond_double_range():
+    # rho = k / dV/dq1(1, 0) = 2^-20000 underflows a double; gamma^19998 = rho
+    # is read off the exact log of rho and lies in range
+    rep = analyze("(2*q1)^20000")
+    (p,) = rep.darboux.points
+    assert abs(to_complex(p.c[0]) - 2 ** (-20000 / 19998)) < 1e-15 and p.c[1] == 0
+    # here gamma^2 = rho = 10^-800 / 2 itself underflows: a typed error
+    with pytest.raises(DarbouxError, match="beyond double range"):
+        analyze(f"{2 * 10**800}*q1^4")
+
+
 @pytest.mark.parametrize("text", ["1/(q1^2+q2^2)", "3/(q1^2+q2^2)^2",
                                   "q1/(q1^3+q1*q2^2)", "q2/(q2^3+q1^2*q2)"])
 def test_rotation_invariant_quotient_is_radial(text):

@@ -10,6 +10,15 @@ import pytest
 from homopot import monodromy as M
 
 
+# -- Gauss-Legendre rule ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 5, 24])
+def test_gauss_legendre_is_exact_to_degree_2n_minus_2(n):
+    x, w = M._gl(n)
+    assert len(x) == len(w) == n and list(x) == sorted(x)
+    assert abs(sum(wi * xi ** (2 * n - 2) for xi, wi in zip(x, w)) - 2 / (2 * n - 1)) < 1e-14
+
+
 # -- closed form ------------------------------------------------------------------
 
 def test_half_period_by_hand():

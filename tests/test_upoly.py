@@ -4,11 +4,12 @@ decomposition, exact roots wherever they lie in Q(i), floats elsewhere."""
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homopot.scalars import gr
-from homopot.upoly import UPoly, roots
+from homopot.upoly import P, UPoly, _square_free_mod_p, _yun, roots, square_free_factors
 
 
 def s_minus(g) -> UPoly:
@@ -124,3 +125,54 @@ def test_product_of_linear_factors(factors):
     assert all(r.exact for r in rs)
     assert Counter({r.value: r.multiplicity for r in rs}) == expected
     assert len(rs) == len(expected)
+
+
+S = UPoly([gr(0), gr(1)])
+linear_factors = st.builds(s_minus, gaussian_roots)
+quadratic_factors = st.builds(lambda b, c: UPoly([c, b, gr(1)]), gaussian_roots, gaussian_roots)
+
+
+def square_free_coprime(fs):
+    return (all(f.gcd(f.derivative()).degree == 0 for f in fs)
+            and all(f.gcd(g).degree == 0 for f, g in combinations(fs, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(linear_factors | quadratic_factors, st.integers(1, 4)),
+                min_size=1, max_size=4),
+       st.integers(0, 4), gaussian_roots)
+def test_square_free_factors_recover_planted_multiplicities(factors, v, lc):
+    # pairwise coprime square-free Q(i) factors with planted multiplicities,
+    # and s^v: the certificate, Yun and the split-off root 0 must agree
+    factors = factors + [(S, v)] if v else factors
+    assume(not lc.is_zero() and square_free_coprime([f for f, _ in factors]))
+    p, planted = UPoly([lc]), {}
+    for f, m in factors:
+        p = p * power(f, m)
+        planted[m] = planted.get(m, UPoly([gr(1)])) * f
+    got = square_free_factors(p)
+    assert [m for _, m in got] == sorted(planted)
+    assert all(f.coeffs == planted[m].monic().coeffs for f, m in got)
+    product = UPoly([gr(1)])
+    for f, m in got:
+        product = product * power(f, m)
+    assert product.coeffs == p.monic().coeffs
+
+
+def test_certified_gaussian_square_free():
+    # (s - (1 + 2i)) (s^2 + i s - 3/7): square-free over Q(i), certified mod P
+    w = s_minus(gr(1, 2)) * UPoly([gr(Fraction(-3, 7)), gr(0, 1), gr(1)])
+    assert _square_free_mod_p(w)
+    assert _yun(w)[0][0].coeffs == w.monic().coeffs
+    assert [(f.coeffs, m) for f, m in square_free_factors(w)] == [(w.monic().coeffs, 1)]
+    assert not _square_free_mod_p(w * s_minus(gr(1, 2)))
+
+
+def test_prime_in_a_denominator_or_the_lead_skips_the_certificate():
+    # (s - 1/P)^2 (s + 1) has no image mod P; (P s - 1)^2 (s + 1) has one of
+    # lower degree, s + 1, which is square-free: Yun answers for both
+    for f in (s_minus(gr(Fraction(1, P))), UPoly([gr(-1), gr(P)])):
+        w = power(f, 2) * s_minus(gr(-1))
+        assert not _square_free_mod_p(w)
+        assert [(g.coeffs, m) for g, m in square_free_factors(w)] == [
+            (s_minus(gr(-1)).coeffs, 1), (f.monic().coeffs, 2)]
