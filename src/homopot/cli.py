@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, polar-analyze, darboux, morales-check,
-monodromy-period, ve-build, batch, dump-table.  JSON output via --json;
-exit codes: 0 success, 1 analysis failure(s), 2 usage error.
+monodromy-period, g-verdict, ve-build, batch, dump-table.  JSON output
+via --json; exit codes: 0 success, 1 analysis failure(s), 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ def _add_k5_option(p: argparse.ArgumentParser) -> None:
 def cmd_analyze(args) -> int:
     try:
         rep = analyze(args.potential, args.k5_variant)
+        text = (report_json_text(rep, include_timing=args.timing) if args.json
+                else rep.to_text() + "\n")
     except (PotentialError, DarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        sys.stdout.write(report_json_text(rep, include_timing=args.timing))
-    else:
-        print(rep.to_text())
+    sys.stdout.write(text)
     return 0
 
 
@@ -193,9 +192,14 @@ def cmd_ve_build(args) -> int:
 def cmd_batch(args) -> int:
     try:
         result = batch(args.directory, args.k5_variant)
+        reports = {name: rep.to_json(include_timing=args.timing)
+                   for name, rep in result.reports} if args.json else None
     except NotADirectoryError as exc:
         print(f"error: not a directory: {exc}", file=sys.stderr)
         return 2
+    except PotentialError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     csv_text = result.summary_csv()
     if args.out:
         try:
@@ -208,8 +212,7 @@ def cmd_batch(args) -> int:
         _dump({
             "summary": [list(r) for r in result.summary_rows],
             "errors": [list(e) for e in result.errors],
-            "reports": {name: rep.to_json(include_timing=args.timing)
-                        for name, rep in result.reports},
+            "reports": reports,
         })
     else:
         sys.stdout.write(csv_text)

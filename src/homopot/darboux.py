@@ -37,15 +37,15 @@ from itertools import count
 from typing import Optional
 
 from .polar import critical_points, eigenvalue_at, value_at
-from .potential import (HomoPoly, Potential, PotentialError, jet_at, transform,
-                        rotation_to_axis, POLYNOMIAL, RATIONAL, RADIAL, POLAR)
+from .potential import (Potential, PotentialError, TrigPoly, jet_at, transform,
+                        rotation_to_axis)
 from .scalars import GaussianRational, is_exact, rational_nth_root, scalar_is_zero, to_complex
 from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
 MULTIPLE_DET_TOL = 1e-9  # float c in `classify` only
 _S = UPoly([0, 1])
-_UNIT = HomoPoly(0, {(0, 0): 1})  # the denominator of a polynomial
+_ZERO, _ONE = GaussianRational(0), GaussianRational(1)
 
 
 class DarbouxError(PotentialError):
@@ -128,10 +128,10 @@ def _line_numerators(V: Potential):
     a polynomial is P/1.  Before the restriction to (1, s), g1 and g2 are
     homogeneous of degree n - 1 with n = k + 2e.
     """
-    if V.kind not in (POLYNOMIAL, RATIONAL):
+    if V.U is not None:
         raise DarbouxError("direction polynomial requires a polynomial or rational potential")
     _check_analysis_degree(V)
-    P, Q = (V.poly, _UNIT) if V.kind == POLYNOMIAL else (V.num, V.den)
+    P, Q = V.num, V.den
     p, q = P.restrict_line(), Q.restrict_line()
     g1, g2 = (P.partial(a).restrict_line() * q - p * Q.partial(a).restrict_line()
               for a in (0, 1))
@@ -247,30 +247,24 @@ def _radial_coefficient(V: Potential):
     """a with V = a (q1^2+q2^2)^(k/2), for a rotation-invariant V: the value
     of V at the first point ((1-t^2), 2t)/(1+t^2), t = 0, 1, 2, ..., of the
     unit circle where its denominator does not vanish."""
-    P, Q = (V.poly, _UNIT) if V.kind == POLYNOMIAL else (V.num, V.den)
     for t in count():
         x, y = Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)
-        den = Q.evaluate(x, y)
+        den = V.den.evaluate(x, y)
         if not den.is_zero():
-            return P.evaluate(x, y) / den
+            return V.num.evaluate(x, y) / den
 
 
 def find_darboux_points(V: Potential) -> DarbouxSet:
     """All Darboux points of V (one representative for radial continuums)."""
     _check_analysis_degree(V)
     k = V.degree
-    one, zero = GaussianRational(1), GaussianRational(0)
-    if V.kind == RADIAL:
-        # grad V(1, 0) = k a (1, 0), and a gamma^(k-2) = 1 picks the circle radius
-        point = _point_on(k, (one, zero), V.a * k, GaussianRational(k), 1, True)
-        return DarbouxSet(points=[point], continuum=True)
-    if V.kind == POLAR:
-        return _polar_darboux_points(V)
+    if V.U is not None:
+        return _polar_darboux_points(V.U, k)
 
     g1, g2, q, e = _line_numerators(V)
     W = _S * g1 - g2
     if W.is_zero():  # grad V(q) is a multiple of q everywhere: V = a r^k
-        return find_darboux_points(Potential.radial(_radial_coefficient(V), k))
+        return _polar_darboux_points(TrigPoly(_radial_coefficient(V)), k)
     dW = W.derivative()
     points, degenerate = [], []
     try:
@@ -279,7 +273,7 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
             qs = q(s)
             if scalar_is_zero(qs, 1e-14):
                 continue  # on the denominator's zero set: not a direction
-            d = (one if r.exact else 1.0 + 0j, s)
+            d = (_ONE if r.exact else 1.0 + 0j, s)
             mu = g1(s) / (qs * qs)
             if scalar_is_zero(mu, 1e-12):
                 degenerate.append(d)  # no finite point on d
@@ -301,11 +295,11 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
         q0, top = _coeff(q, e), _coeff(g2, n - 1)
         if W.degree < n and not q0.is_zero():
             if top.is_zero():
-                degenerate.append((zero, one))
+                degenerate.append((_ZERO, _ONE))
             else:
                 m = n - W.degree
                 lam = k + k * _coeff(W, n - 1) / top
-                points.append(_point_on(k, (zero, one), top / (q0 * q0), lam, m, m > 1))
+                points.append(_point_on(k, (_ZERO, _ONE), top / (q0 * q0), lam, m, m > 1))
     except OverflowError as exc:
         raise DarbouxError(f"a Darboux direction is beyond double precision: {exc}") from exc
 
@@ -313,14 +307,15 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
     return DarbouxSet(points=points, continuum=False, degenerate_directions=degenerate)
 
 
-def _polar_darboux_points(V: Potential) -> DarbouxSet:
+def _polar_darboux_points(U: TrigPoly, k: int) -> DarbouxSet:
     """V = r^k U(theta): grad V(d) = k U(theta) d + U'(theta) d_perp on the
     unit direction d = (Re z, Im z), z = e^{i theta}, so each root z of
     z^M U' of multiplicity m gives mu = k U(theta), lambda = k + U''/U and
     a point that is multiple exactly when m >= 2."""
-    U, k = V.U, V.degree
     if U.is_constant():
-        return find_darboux_points(Potential.radial(U.const, k))
+        # grad V(1, 0) = k a (1, 0), and a gamma^(k-2) = 1 picks the circle radius
+        point = _point_on(k, (_ONE, _ZERO), U.const * k, GaussianRational(k), 1, True)
+        return DarbouxSet(points=[point], continuum=True)
     dU = U.derivative()
     points = []
     for theta, z, m in critical_points(U):

@@ -97,17 +97,18 @@ def period_closed_form(alpha, j: int) -> PeriodValue:
 
 # -- quadrature along the concrete loop ------------------------------------
 
+_RADIUS = 0.5  # of the circles around +-1
+
+
 @dataclass
 class LoopSpec:
     """Geometry of gamma_j: base point 0, radius-1/2 circles around +-1."""
 
     j: int
-    radius: float = 0.5
-    base_point: complex = 0j
 
     def pieces(self):
         """Smooth pieces (t(u), dt(u), u in [0,1]); quarter arcs per loop."""
-        j, r = self.j, self.radius
+        j, r = self.j, _RADIUS
         out = []
 
         def segment(a, b):
@@ -182,7 +183,7 @@ def _piece_param(piece):
             return b - a
         return t, dt, a, b
     _, center, a0, da = piece
-    r = 0.5
+    r = _RADIUS
 
     def t(u):
         return center + r * cmath.exp(1j * (a0 + da * u))

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
-                        POLYNOMIAL, RATIONAL, RADIAL, POLAR)
+                        POLYNOMIAL, RATIONAL, RADIAL)
 from .scalars import GaussianRational
 
 MAX_POWER_TERMS = 128  # a larger expansion of a power of a sum is refused
@@ -340,9 +340,7 @@ def parse_potential(text: str) -> Potential:
         if len(exps) != 1:
             raise ParseError(f"non-homogeneous polar expression: r-exponents {exps}")
         k, U = exps[0], _angular_part(terms)
-        if U.is_constant():
-            return Potential.radial(U.const, k)
-        if not U.is_real():
+        if not U.is_constant() and not U.is_real():
             raise ParseError("polar angular part must have real coefficients")
         return Potential.polar(U, k)
 
@@ -434,14 +432,12 @@ def print_potential(V: Potential) -> str:
     if not V.exact:
         raise PotentialError("canonical text requires exact coefficients")
     if V.kind == POLYNOMIAL:
-        return _poly_text(V.poly)
+        return _poly_text(V.num)
     if V.kind == RATIONAL:
         return f"({_poly_text(V.num)})/({_poly_text(V.den)})"
     if V.kind == RADIAL:
-        text, mergeable = _coef_text(V.a)
+        text, mergeable = _coef_text(V.U.const)
         if text == "1":
             return f"r^{V.degree}"
         return f"{text}*r^{V.degree}"
-    if V.kind == POLAR:
-        return f"r^{V.degree}*({_trig_text(V.U)})"
-    raise PotentialError(f"unknown kind {V.kind}")
+    return f"r^{V.degree}*({_trig_text(V.U)})"

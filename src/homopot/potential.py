@@ -1,11 +1,14 @@
 """Planar homogeneous potentials with exact coefficient arithmetic.
 
-Four kinds are supported:
+A potential of degree k is stored in one of two shapes:
 
-* polynomial      V = sum a_ij q1^i q2^j, all i+j = k
-* rational        V = P/Q with P, Q homogeneous, deg P - deg Q = k
-* radial          V = a (q1^2+q2^2)^(k/2)
-* polar           V = r^k U(theta), U a trigonometric polynomial
+* Cartesian   V = P/Q with P, Q homogeneous, deg P - deg Q = k
+* polar       V = r^k U(theta), U a trigonometric polynomial
+
+Four kind names are read off that data, never stored: `polynomial` is
+P/1 (Q the constant 1, `_UNIT`), `rational` any other P/Q, `radial` a
+constant U, i.e. a (q1^2+q2^2)^(k/2), and `polar` any other U.  Only the
+JSON format, the printer and the report text speak of the four names.
 
 U is stored only as its Laurent coefficients c_j in z = e^{i theta}
 (`TrigPoly`): d/dtheta maps c_j to i j c_j, a rotation by delta to
@@ -158,6 +161,9 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
+_UNIT = HomoPoly(0, {(0, 0): 1})  # the denominator of a polynomial
+
+
 # -- the angular part of the polar kind ---------------------------------
 
 class TrigPoly:
@@ -249,9 +255,10 @@ class TrigPoly:
 
     def shift(self, cos_d, sin_d) -> "TrigPoly":
         """U(theta + d) given cos d and sin d (exact or float, d may be complex):
-        c_j -> c_j w^j with w = cos d + i sin d, and w^-1 = cos d - i sin d."""
+        c_j -> c_j w^j with w = cos d + i sin d, and w^-1 = cos d - i sin d.
+        c_0 is kept as it is, so a constant U stays exact under a float d."""
         w = {1: cos_d + _I * sin_d, -1: cos_d - _I * sin_d}
-        return TrigPoly._laurent({j: v * w[1 if j > 0 else -1] ** abs(j)
+        return TrigPoly._laurent({j: v * w[1 if j > 0 else -1] ** abs(j) if j else v
                                   for j, v in self.coeffs.items()})
 
     def flip(self) -> "TrigPoly":
@@ -264,15 +271,13 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class Potential:
-    """A planar homogeneous potential of integer degree."""
+    """A planar homogeneous potential of integer degree: num/den, or
+    r^degree U(theta) when U is set."""
 
-    kind: str
     degree: int
-    poly: Optional[HomoPoly] = None          # polynomial kind
-    num: Optional[HomoPoly] = None           # rational kind
-    den: Optional[HomoPoly] = None
-    a: object = None                         # radial kind
-    U: Optional[TrigPoly] = None             # polar kind
+    num: Optional[HomoPoly] = None           # V = num/den, with den = _UNIT
+    den: Optional[HomoPoly] = None           # for a polynomial
+    U: Optional[TrigPoly] = None             # V = r^degree U(theta)
 
     # -- constructors ----------------------------------------------------
 
@@ -280,7 +285,7 @@ class Potential:
     def polynomial(poly: HomoPoly) -> "Potential":
         if poly.is_zero():
             raise PotentialError("zero polynomial is not a potential")
-        return Potential(kind=POLYNOMIAL, degree=poly.degree, poly=poly)
+        return Potential(degree=poly.degree, num=poly, den=_UNIT)
 
     @staticmethod
     def rational(num: HomoPoly, den: HomoPoly) -> "Potential":
@@ -288,28 +293,31 @@ class Potential:
             raise PotentialError("zero denominator")
         if num.is_zero():
             raise PotentialError("zero potential")
-        return Potential(kind=RATIONAL, degree=num.degree - den.degree, num=num, den=den)
+        return Potential(degree=num.degree - den.degree, num=num, den=den)
 
     @staticmethod
     def radial(a, k: int) -> "Potential":
-        a = scalar(a)
-        if not a:
+        if not scalar(a):
             raise PotentialError("zero radial coefficient")
-        return Potential(kind=RADIAL, degree=int(k), a=a)
+        return Potential.polar(TrigPoly(a), k)
 
     @staticmethod
     def polar(U: TrigPoly, k: int) -> "Potential":
-        return Potential(kind=POLAR, degree=int(k), U=U)
+        if not U.coeffs:
+            raise PotentialError("polar potential with identically zero angular part")
+        return Potential(degree=int(k), U=U)
+
+    @property
+    def kind(self) -> str:
+        if self.U is not None:
+            return RADIAL if self.U.is_constant() else POLAR
+        return POLYNOMIAL if self.den == _UNIT else RATIONAL
 
     @property
     def exact(self) -> bool:
-        if self.kind == POLYNOMIAL:
-            return self.poly.exact
-        if self.kind == RATIONAL:
-            return self.num.exact and self.den.exact
-        if self.kind == RADIAL:
-            return is_exact([self.a])
-        return is_exact(self.U.coeffs.values())
+        if self.U is not None:
+            return is_exact(self.U.coeffs.values())
+        return self.num.exact and self.den.exact
 
     # -- evaluation -------------------------------------------------------
 
@@ -346,19 +354,15 @@ def jet_at(V: Potential, c, L: int) -> TaylorJet:
     order = L + 1
     c = tuple(scalar(t) for t in c)
 
-    if V.kind == POLYNOMIAL:
-        series = V.poly.jet(c, order)
-    elif V.kind == RATIONAL:
-        den = V.den.jet(c, order)
-        if scalar_is_zero(den.const_term, 1e-14):
-            raise SingularPointError(f"denominator vanishes at {c}")
-        series = V.num.jet(c, order) / den
-    elif V.kind == RADIAL:
-        series = _radial_series(c, order, Fraction(V.degree, 2)).scale(V.a)
-    elif V.kind == POLAR:
+    if V.U is not None:
         series = _polar_series(V.U, V.degree, c, order)
     else:
-        raise PotentialError(f"unknown potential kind {V.kind}")
+        series = V.num.jet(c, order)
+        if V.den != _UNIT:  # a polynomial's jet is taken without a division
+            den = V.den.jet(c, order)
+            if scalar_is_zero(den.const_term, 1e-14):
+                raise SingularPointError(f"denominator vanishes at {c}")
+            series = series / den
     return TaylorJet.from_series(series, c, L, V.degree)
 
 
@@ -373,8 +377,6 @@ def _radial_series(c, order: int, half_power: Fraction) -> Jet2:
 
 def _polar_series(U: TrigPoly, k: int, c, order: int) -> Jet2:
     """sum_j c_j (q1 + sgn(j) i q2)^|j| r^(k-|j|), since r z^(+-1) = q1 +- i q2."""
-    if not U.coeffs:
-        raise PotentialError("polar potential with identically zero angular part")
     jx = Jet2.variable(0, c[0], order)
     iy = Jet2.variable(1, c[1], order).scale(_I)
     parts = {}
@@ -410,16 +412,10 @@ def transform(V: Potential, R, scale=1) -> Potential:
     if not scale:
         raise PotentialError("zero scale")
 
-    if V.kind == POLYNOMIAL:
-        return Potential.polynomial(V.poly.substitute_linear(R).scale(scale))
-    if V.kind == RATIONAL:
-        return Potential.rational(V.num.substitute_linear(R).scale(scale),
-                                  V.den.substitute_linear(R))
-    if V.kind == RADIAL:
-        return Potential.radial(V.a * scale, V.degree)
-    if V.kind == POLAR:
+    if V.U is not None:
         return Potential.polar(_transform_angle(V.U, R).scale(scale), V.degree)
-    raise PotentialError(f"unknown potential kind {V.kind}")
+    return Potential.rational(V.num.substitute_linear(R).scale(scale),
+                              V.den.substitute_linear(R))
 
 
 def _transform_angle(U: TrigPoly, R) -> TrigPoly:
@@ -520,13 +516,13 @@ def _trig_from_json(obj) -> TrigPoly:
 def potential_to_json(V: Potential) -> dict:
     out = {"kind": V.kind, "degree": V.degree}
     if V.kind == POLYNOMIAL:
-        out["terms"] = _homopoly_to_json(V.poly)["terms"]
+        out["terms"] = _homopoly_to_json(V.num)["terms"]
     elif V.kind == RATIONAL:
         out["num"] = _homopoly_to_json(V.num)
         out["den"] = _homopoly_to_json(V.den)
     elif V.kind == RADIAL:
-        out["a"] = _gauss_to_json(V.a)
-    elif V.kind == POLAR:
+        out["a"] = _gauss_to_json(V.U.const)
+    else:
         out["U"] = _trig_to_json(V.U)
     return out
 

@@ -29,7 +29,7 @@ from . import __version__
 from .darboux import DarbouxSet, find_darboux_points
 from .morales import K5_PRINTED, ST_INADMISSIBLE, ST_INDETERMINATE, eigenvalue_verdict
 from .parse import parse_potential
-from .potential import Potential, potential_to_json, potential_from_json
+from .potential import Potential, PotentialError, potential_to_json, potential_from_json
 from .scalars import GaussianRational
 
 NON_INTEGRABLE = "non_integrable_by_morales_ramis"
@@ -57,22 +57,27 @@ class AnalysisReport:
         return sum(1 for p in self.darboux.points if p.multiple)
 
     def to_json(self, include_timing: bool = False) -> dict:
-        out = {
-            "input": self.input_text,
-            "potential": potential_to_json(self.potential),
-            "degree": self.potential.degree,
-            "kind": self.potential.kind,
-            "verdict": self.verdict,
-            "darboux": self.darboux.to_json(),
-            "points": [pv.to_json() for pv in self.point_verdicts],
-            "multiplicity_summary": {
-                "n_points": self.n_points,
-                "n_multiple": self.n_multiple,
-                "continuum": self.darboux.continuum,
-            },
-            "notes": self.notes,
-            "version": self.version,
-        }
+        """The report as a JSON object; a number whose decimal form is
+        beyond Python's int-to-str digit limit raises PotentialError."""
+        try:
+            out = {
+                "input": self.input_text,
+                "potential": potential_to_json(self.potential),
+                "degree": self.potential.degree,
+                "kind": self.potential.kind,
+                "verdict": self.verdict,
+                "darboux": self.darboux.to_json(),
+                "points": [pv.to_json() for pv in self.point_verdicts],
+                "multiplicity_summary": {
+                    "n_points": self.n_points,
+                    "n_multiple": self.n_multiple,
+                    "continuum": self.darboux.continuum,
+                },
+                "notes": self.notes,
+                "version": self.version,
+            }
+        except ValueError as exc:
+            raise PotentialError(f"report has no JSON form: {exc}") from exc
         if include_timing and self.elapsed_seconds is not None:
             out["elapsed_seconds"] = self.elapsed_seconds
         return out

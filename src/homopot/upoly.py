@@ -329,12 +329,15 @@ def _real_factor_roots(f: UPoly):
     return _unpaired_onto(zs, complex.conjugate, lambda z: complex(z.real, 0.0))
 
 
-def _exact_candidate(f: UPoly, lead: int, z: complex):
+def _exact_candidate(f: UPoly, lead: int, f_mod_p, z: complex):
     """The one Q(i) point round(lead*z)/lead when f vanishes there exactly.
 
     A root u/q of f in Q(i) has q | lead, so lead*z lies near a Gaussian
     integer; the test on lead*z, in integers so that no lead overflows,
-    only spares hopeless candidates exact work.
+    only spares hopeless candidates exact work.  It can reject nothing
+    once lead passes 2^53, so f_mod_p, the images of f's coefficients in
+    F_P (None when P divides lead or a denominator), is evaluated at the
+    candidate first: a nonzero value proves it is not a root.
     """
     if not cmath.isfinite(z):
         return None
@@ -345,6 +348,12 @@ def _exact_candidate(f: UPoly, lead: int, z: complex):
     dr, di = a - near_re * m, b - near_im * m
     if 10**12 * (dr * dr + di * di) > max(m * m, a * a + b * b):
         return None
+    if f_mod_p is not None:
+        x, acc = (near_re + I_MOD_P * near_im) * pow(lead, -1, P) % P, 0
+        for c in reversed(f_mod_p):
+            acc = (acc * x + c) % P
+        if acc:
+            return None
     cand = GaussianRational(Fraction(near_re, lead), Fraction(near_im, lead))
     return cand if f(cand).is_zero() else None
 
@@ -358,8 +367,11 @@ def roots(p: UPoly):
         lead = lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
         real = all(c.is_real() for c in f.coeffs)
         zs = _real_factor_roots(f) if real else _scaled_aberth_roots(f)
+        f_mod_p = [_mod_p(c) for c in f.coeffs]
+        if None in f_mod_p or lead % P == 0:
+            f_mod_p = None
         for z in zs:
-            g = _exact_candidate(f, lead, z)
+            g = _exact_candidate(f, lead, f_mod_p, z)
             result.append(Root(z if g is None else g, m))
     return _sorted_roots(result)
 

@@ -88,6 +88,9 @@ def _case(text, outcome, name=None):
     _case(DEGREE_10_LINEAR_FORMS, "3", "degree-10 product of linear forms"),
     # the root s = 0 of W has multiplicity 2999: split off before Yun
     _case("q1^2*q2^3000 + q2^3002", "3"),
+    # a leading coefficient 3^100 beyond 2^53: the float test cannot reject
+    # a candidate, the test mod P does
+    _case("(2*q1)^100 + (3*q2)^100", "100"),
 ])
 def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
@@ -245,6 +248,13 @@ def test_cli_analyze_error_exit(capsys):
     code, _, err = run_cli(capsys, "analyze", "q1^2 + q2")
     assert code == 1
     assert "non-homogeneous" in err
+
+
+def test_cli_json_beyond_the_int_digit_limit_is_an_error(capsys):
+    # the report exists, but 2^20000 has more decimal digits than Python's
+    # int-to-str limit lets the JSON writer print: a typed error, no traceback
+    code, out, err = run_cli(capsys, "analyze", "(2*q1)^20000", "--json")
+    assert (code, out) == (1, "") and err.startswith("error: report has no JSON form")
 
 
 def test_cli_polar_analyze(capsys):

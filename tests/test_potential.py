@@ -31,11 +31,11 @@ def to_sympy(V: Potential):
         return acc
 
     if V.kind == "polynomial":
-        return poly_expr(V.poly)
+        return poly_expr(V.num)
     if V.kind == "rational":
         return poly_expr(V.num) / poly_expr(V.den)
     if V.kind == "radial":
-        a = sympy.Rational(V.a.re.numerator, V.a.re.denominator)
+        a = sympy.Rational(V.U.const.re.numerator, V.U.const.re.denominator)
         return a * (Q1**2 + Q2**2) ** sympy.Rational(V.degree, 2)
     raise NotImplementedError
 
@@ -66,9 +66,9 @@ def test_parse_examples():
 
 def test_parse_radial_and_polar():
     V = parse_potential("r^-3")
-    assert V.kind == "radial" and V.degree == -3 and V.a == gr(1)
+    assert V.kind == "radial" and V.degree == -3 and V.U.const == gr(1)
     V = parse_potential("5*r^-3")
-    assert V.kind == "radial" and V.a == gr(5)
+    assert V.kind == "radial" and V.U.const == gr(5)
     V = parse_potential("r^-3*(1 + 1/10*cos(2*theta))")
     assert V.kind == "polar" and V.U.cos[2] == gr(Fraction(1, 10))
     # a trig argument is evaluated first, then must be an integer multiple of theta
@@ -131,6 +131,34 @@ def test_json_roundtrip(rng):
     V = parse_potential("2*r^-3")
     Vn = normalize(V, find_darboux_points(V).points[0])[0]  # a float radial coefficient
     assert potential_from_json(potential_to_json(Vn)) == Vn
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("q1^3 - 3*q1*q2^2", "polynomial"),
+    ("(q1^4 + q2^4)/(q1*q2)", "rational"),
+    ("5*r^-3", "radial"),
+    ("r^-3*(1 + 1/10*cos(2*theta))", "polar"),
+])
+def test_two_shapes_four_kinds(text, kind):
+    # num/den or r^k U(theta) is stored; the kind name is read off that data
+    V = parse_potential(text)
+    assert V.kind == kind
+    assert potential_from_json(potential_to_json(V)) == V
+    t = 0.3
+    Vr = transform(V, ((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t))), 2)
+    assert Vr.kind == kind
+    if V.U is not None:  # w^0 = 1: the rotation leaves the constant term exact
+        assert Vr.U.const == 2 * V.U.const and isinstance(Vr.U.const, GaussianRational)
+
+
+def test_kind_canonicalisation():
+    P = HomoPoly(3, {(3, 0): gr(1), (0, 3): gr(2)})
+    assert Potential.rational(P, HomoPoly(0, {(0, 0): gr(1)})).kind == "polynomial"
+    assert Potential.rational(P, HomoPoly(0, {(0, 0): gr(1)})) == Potential.polynomial(P)
+    assert Potential.polar(TrigPoly(5), -3).kind == "radial"
+    assert Potential.polar(TrigPoly(5), -3) == Potential.radial(5, -3)
+    with pytest.raises(PotentialError, match="zero angular part"):
+        Potential.polar(TrigPoly(0), -3)
 
 
 # -- jets ----------------------------------------------------------------------
