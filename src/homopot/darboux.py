@@ -22,14 +22,15 @@ point is multiple exactly when m >= 2 (never isotropic).
 
 lambda and the multiple test are exact whenever the direction is, even
 when gamma (and so c) is irrational; floats enter only for irrational
-directions.  No jet is taken: `classify` reads the spectrum off the jet
-at a given point, for `normalize` and as a reference.
+directions.  gamma is `scalars.principal_root(k/mu, k - 2)`, exact when
+it lies in Q(i); a point whose c, lambda or residual is not finite in
+doubles is a DarbouxError.  No jet is taken: `classify` reads the
+spectrum off the jet at a given point, for `normalize` and as a
+reference.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -39,7 +40,8 @@ from typing import Optional
 from .polar import critical_points, eigenvalue_at, value_at
 from .potential import (Potential, PotentialError, TrigPoly, jet_at, transform,
                         rotation_to_axis)
-from .scalars import GaussianRational, is_exact, rational_nth_root, scalar_is_zero, to_complex
+from .scalars import (GaussianRational, is_exact, is_finite, principal_root, scalar_is_zero,
+                      to_complex)
 from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
@@ -148,55 +150,11 @@ def _coeff(p: UPoly, j: int):
     return p.coeffs[j] if j < len(p.coeffs) else GaussianRational(0)
 
 
-def _principal_scaling(rho, m: int):
-    """gamma with gamma^m = rho, principal branch; exact when possible.
-
-    Other branches give rotation-equivalent Darboux points and are not
-    enumerated.  A real rho > 0 gets its real root, and a negative real
-    rho the principal (complex) one, also when its float imaginary part
-    is -0.0.  An exact rho beyond double range takes its logarithm from
-    its exact parts, and raises DarbouxError when gamma is beyond it too.
-    """
-    if m == 0:
-        raise DarbouxError("degree k=2 has no radial scaling")
-    if scalar_is_zero(rho):
-        raise DarbouxError("zero scaling candidate")
-    if m in (1, -1):
-        return rho if m == 1 else 1 / rho
-    if isinstance(rho, GaussianRational):
-        if m in (2, -2):
-            base = rho if m == 2 else GaussianRational(1) / rho
-            sq = base.sqrt_exact()  # the exact branch agrees with the principal root
-            if sq is not None:
-                return sq
-        if rho.is_real() and rho.re > 0:
-            base = rho.re if m > 0 else Fraction(1) / rho.re
-            ex = rational_nth_root(base, abs(m))
-            if ex is not None:
-                return GaussianRational(ex)
-    try:
-        z = to_complex(rho) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
-    except OverflowError:
-        z = 0j
-    if z == 0:  # an exact rho beyond double range: log rho from its exact parts
-        n2 = rho.norm2()
-        arg = cmath.phase(complex(rho / max(abs(rho.re), abs(rho.im))))
-        log_rho = complex((math.log(n2.numerator) - math.log(n2.denominator)) / 2, arg)
-        try:
-            gamma = cmath.exp(log_rho / m)
-        except OverflowError:
-            gamma = 0j
-        if gamma == 0:
-            raise DarbouxError(f"gamma^{m} = rho with log|rho| = {log_rho.real:.6g} is beyond double range")
-        return gamma
-    if z.imag == 0 and z.real > 0:
-        return complex(z.real ** (1 / m))
-    return cmath.exp(cmath.log(z) / m)
-
-
 def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -> DarbouxPoint:
-    """The point c with Hessian spectrum {k(k-1), lambda}, once its residual
-    |grad V(c) - kc| passes."""
+    """The point c with Hessian spectrum {k(k-1), lambda}, once c, lambda
+    and the residual |grad V(c) - kc| are finite and the residual passes."""
+    if not is_finite((*c, lam, residual)):
+        raise DarbouxError("a Darboux point or its eigenvalue is beyond double range")
     if residual:
         scale = max(1.0, abs(k) * max(abs(to_complex(c[0])), abs(to_complex(c[1]))))
         if residual > RESIDUAL_TOL * scale:
@@ -211,10 +169,18 @@ def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,
               defect: Optional[float] = None) -> DarbouxPoint:
     """The Darboux point c = gamma d on a direction d with grad V(d) = mu d.
 
-    gamma^(k-2) = k/mu.  For a float direction, defect = |grad V(d) - mu d|
-    gives the residual |grad V(c) - kc| = |gamma|^(k-1) defect.
+    gamma^(k-2) = k/mu on the principal branch; other branches give
+    rotation-equivalent points and are not enumerated.  For a float
+    direction, defect = |grad V(d) - mu d| gives the residual
+    |grad V(c) - kc| = |gamma|^(k-1) defect.
     """
-    gamma = _principal_scaling(k / mu, k - 2)
+    rho = k / mu
+    if scalar_is_zero(rho):
+        raise DarbouxError("zero scaling candidate")
+    try:
+        gamma = principal_root(rho, k - 2)
+    except OverflowError as exc:
+        raise DarbouxError(f"no scaling gamma in double range: {exc}") from exc
     residual = 0.0 if defect is None else abs(to_complex(gamma)) ** (k - 1) * defect
     return _point(k, (gamma * d[0], gamma * d[1]), lam, multiple, iso, m, residual)
 
@@ -300,10 +266,9 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
                 m = n - W.degree
                 lam = k + k * _coeff(W, n - 1) / top
                 points.append(_point_on(k, (_ZERO, _ONE), top / (q0 * q0), lam, m, m > 1))
+        points.sort(key=_point_sort_key)
     except OverflowError as exc:
         raise DarbouxError(f"a Darboux direction is beyond double precision: {exc}") from exc
-
-    points.sort(key=_point_sort_key)
     return DarbouxSet(points=points, continuum=False, degenerate_directions=degenerate)
 
 

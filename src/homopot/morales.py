@@ -152,7 +152,8 @@ class MoralesVerdict:
         if self.witness is not None:
             out["witness"] = {"row": self.witness[0], "i": self.witness[1]}
         if self.certificate is not None:
-            out["certificate"] = self.certificate
+            out["certificate"] = [{"row": c["row"], "discriminant": str(c["discriminant"])}
+                                  for c in self.certificate]
         return out
 
 
@@ -189,7 +190,7 @@ def admissible(k: int, lam, k5_variant: str = K5_PRINTED) -> MoralesVerdict:
             i = sols[0]
             assert row.value(i) == lam
             return MoralesVerdict(True, k, lam, witness=(row.row_id, i))
-        certificate.append({"row": row.row_id, "discriminant": str(disc)})
+        certificate.append({"row": row.row_id, "discriminant": disc})
     return MoralesVerdict(False, k, lam, certificate=certificate)
 
 

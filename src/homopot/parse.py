@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
                         POLYNOMIAL, RATIONAL, RADIAL)
-from .scalars import GaussianRational
+from .scalars import GaussianRational, power
 
 MAX_POWER_TERMS = 128  # a larger expansion of a power of a sum is refused
 
@@ -68,6 +68,15 @@ def tokenize(text: str):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _number(text: str, pos: int):
+    """The int or Fraction a number token spells; a literal beyond Python's
+    int-to-str digit limit (4300 digits) is a ParseError."""
+    try:
+        return Fraction(text) if "." in text else int(text)
+    except ValueError:
+        raise ParseError(f"number literal of {len(text)} characters is too long", pos) from None
 
 
 # -- AST ---------------------------------------------------------------
@@ -154,15 +163,13 @@ class _Parser:
             if kind2 != "number" or "." in val2:
                 raise ParseError("exponent must be an integer", pos2)
             self.next()
-            return Node("pow", [base, sign * int(val2)], pos)
+            return Node("pow", [base, sign * _number(val2, pos2)], pos)
         return base
 
     def atom(self) -> Node:
         kind, val, pos = self.next()
         if kind == "number":
-            if "." in val:
-                return Node("num", [Fraction(val)], pos)
-            return Node("num", [Fraction(int(val))], pos)
+            return Node("num", [Fraction(_number(val, pos))], pos)
         if kind == "name":
             if val in ("cos", "sin"):
                 self.expect_op("(")
@@ -205,14 +212,7 @@ class _RatFunc:
         return _RatFunc(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
 
     def __pow__(self, n: int):
-        out, base = _RatFunc(_ONE), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, _RatFunc(_ONE))
 
 
 def _invert(f: _RatFunc, polar: bool) -> _RatFunc:

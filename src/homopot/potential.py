@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import GaussianRational, is_exact, scalar, scalar_is_zero, to_complex
+from .scalars import GaussianRational, is_exact, is_finite, scalar, scalar_is_zero, to_complex
 from .series import Jet2, TaylorJet
 from .upoly import UPoly
 
@@ -348,22 +348,31 @@ class Potential:
 
 
 def jet_at(V: Potential, c, L: int) -> TaylorJet:
-    """Exact (when possible) Taylor jet of V at c up to derivative order L+1."""
+    """Exact (when possible) Taylor jet of V at c up to derivative order L+1.
+
+    A float jet that overflows or is not finite raises PotentialError.
+    """
     if L < -1:
         raise PotentialError(f"jet order L must be >= -1, got {L}")
     order = L + 1
     c = tuple(scalar(t) for t in c)
 
-    if V.U is not None:
-        series = _polar_series(V.U, V.degree, c, order)
-    else:
-        series = V.num.jet(c, order)
-        if V.den != _UNIT:  # a polynomial's jet is taken without a division
-            den = V.den.jet(c, order)
-            if scalar_is_zero(den.const_term, 1e-14):
-                raise SingularPointError(f"denominator vanishes at {c}")
-            series = series / den
-    return TaylorJet.from_series(series, c, L, V.degree)
+    try:
+        if V.U is not None:
+            series = _polar_series(V.U, V.degree, c, order)
+        else:
+            series = V.num.jet(c, order)
+            if V.den != _UNIT:  # a polynomial's jet is taken without a division
+                den = V.den.jet(c, order)
+                if scalar_is_zero(den.const_term, 1e-14):
+                    raise SingularPointError(f"denominator vanishes at {c}")
+                series = series / den
+    except OverflowError as exc:
+        raise PotentialError(f"jet beyond double range: {exc}") from exc
+    jet = TaylorJet.from_series(series, c, L, V.degree)
+    if not is_finite([jet.value, *(v for row in jet.d for v in row)]):
+        raise PotentialError("jet beyond double range: a coefficient is not finite")
+    return jet
 
 
 def _radial_series(c, order: int, half_power: Fraction) -> Jet2:

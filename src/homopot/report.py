@@ -83,20 +83,25 @@ class AnalysisReport:
         return out
 
     def to_text(self) -> str:
-        lines = [f"potential: {self.input_text}",
-                 f"kind: {self.potential.kind}, degree k = {self.potential.degree}",
-                 f"darboux points: {self.n_points}"
-                 + (" (continuum, one representative shown)" if self.darboux.continuum else ""),
-                 f"multiple points: {self.n_multiple}"]
-        for p, pv in zip(self.darboux.points, self.point_verdicts):
-            lam = pv.lam if pv.lam is not None else p.spectrum[1]
-            lines.append(f"  c = {_fmt_point(p.c)}  lambda = {lam}"
-                         f"  multiple = {p.multiple}  -> {pv.status}"
-                         + (f" ({pv.reason})" if pv.reason else ""))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
+        """The report as text; like `to_json`, a number beyond the digit
+        limit raises PotentialError."""
+        try:
+            lines = [f"potential: {self.input_text}",
+                     f"kind: {self.potential.kind}, degree k = {self.potential.degree}",
+                     f"darboux points: {self.n_points}"
+                     + (" (continuum, one representative shown)" if self.darboux.continuum else ""),
+                     f"multiple points: {self.n_multiple}"]
+            for p, pv in zip(self.darboux.points, self.point_verdicts):
+                lam = pv.lam if pv.lam is not None else p.spectrum[1]
+                lines.append(f"  c = {_fmt_point(p.c)}  lambda = {lam}"
+                             f"  multiple = {p.multiple}  -> {pv.status}"
+                             + (f" ({pv.reason})" if pv.reason else ""))
+            for note in self.notes:
+                lines.append(f"note: {note}")
+            lines.append(f"verdict: {self.verdict}")
+            return "\n".join(lines)
+        except ValueError as exc:
+            raise PotentialError(f"report has no text form: {exc}") from exc
 
 
 def _fmt_point(c) -> str:
@@ -116,7 +121,10 @@ def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
     started = time.perf_counter()
     if isinstance(source, Potential):
         V = source
-        text = V.text()
+        try:
+            text = V.text()
+        except ValueError as exc:  # Python's int-to-str digit limit
+            raise PotentialError(f"potential has no text form: {exc}") from exc
     else:
         text = str(source)
         V = parse_potential(text)

@@ -1,4 +1,4 @@
-"""Exact scalars: Gaussian rationals and helpers for exact roots.
+"""Exact scalars: Gaussian rationals, exact and principal roots, and powers.
 
 Everything downstream that claims exactness (degrees, eigenvalues, table
 membership, multiplicity tests) is built on these.  A scalar is either a
@@ -7,10 +7,17 @@ only record of exactness: a value is exact iff it is a GaussianRational.
 The two support the same arithmetic, and mixing them gives a complex, so
 generic code stays agnostic; `scalar` brings any number into the domain
 and `is_exact` asks whether values are all exact.
+
+`principal_root` is the one m-th root of a scalar: exact when it lies in
+Q(i), else the principal complex root.  `power` is the one binary
+powering loop, for any ring with a multiplication (scalars, jets,
+rational functions).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -148,14 +155,7 @@ class GaussianRational:
             raise TypeError("GaussianRational powers must be integers")
         if n < 0:
             return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, GaussianRational(1))
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
@@ -252,6 +252,11 @@ def is_exact(values) -> bool:
     return all(isinstance(v, GaussianRational) for v in values)
 
 
+def is_finite(values) -> bool:
+    """True when every value is exact or a finite complex."""
+    return all(isinstance(v, GaussianRational) or cmath.isfinite(v) for v in values)
+
+
 def to_complex(x) -> complex:
     return complex(x)
 
@@ -260,6 +265,62 @@ def scalar_is_zero(x, tol: float = 0.0) -> bool:
     if isinstance(x, GaussianRational):
         return x.is_zero()
     return abs(x) <= tol
+
+
+def power(x, n: int, one):
+    """x^n for an integer n >= 0 by binary powering, with one = x^0: no
+    square is taken after the last bit of n."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+def principal_root(x, m: int):
+    """y with y^m = x (x != 0, m != 0) on the principal branch; exact when
+    it lies in Q(i).
+
+    Other branches differ by an m-th root of unity.  An exact real x > 0
+    gets its real root, and a negative real x the principal (complex) one,
+    also when its float imaginary part is -0.0.  An exact x beyond double
+    range takes its logarithm from its exact parts, and OverflowError is
+    raised when y is beyond double range too.
+    """
+    if m in (1, -1):
+        return x if m == 1 else 1 / x
+    if isinstance(x, GaussianRational):
+        if m in (2, -2):
+            base = x if m == 2 else GaussianRational(1) / x
+            sq = base.sqrt_exact()  # the exact branch agrees with the principal root
+            if sq is not None:
+                return sq
+        if x.is_real() and x.re > 0:
+            base = x.re if m > 0 else Fraction(1) / x.re
+            ex = rational_nth_root(base, abs(m))
+            if ex is not None:
+                return GaussianRational(ex)
+    try:
+        z = to_complex(x) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
+    except OverflowError:
+        z = 0j
+    if z == 0:  # an exact x beyond double range: log x from its exact parts
+        n2 = x.norm2()
+        arg = cmath.phase(complex(x / max(abs(x.re), abs(x.im))))
+        log_x = complex((math.log(n2.numerator) - math.log(n2.denominator)) / 2, arg)
+        try:
+            y = cmath.exp(log_x / m)
+        except OverflowError:
+            y = 0j
+        if y == 0:
+            raise OverflowError(f"y^{m} = x with log|x| = {log_x.real:.6g} is beyond double range")
+        return y
+    if z.imag == 0 and z.real > 0:
+        return complex(z.real ** (1 / m))
+    return cmath.exp(cmath.log(z) / m)
 
 
 def parse_rational(text: str) -> Fraction:

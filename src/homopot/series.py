@@ -1,8 +1,10 @@
 """Truncated bivariate power series and Taylor jets.
 
 Jets of a potential at a base point are computed by plain series
-arithmetic on the defining expression (add, multiply, invert, raise to a
-rational power), uniform across potential kinds.  Coefficients are
+arithmetic on the defining expression (add, multiply, raise to a
+rational power, divide as the power -1), uniform across potential kinds.
+Integer powers and the leading factor c0^e of a rational power come from
+`scalars.power` and `scalars.principal_root`.  Coefficients are
 scalars (see scalars.py): the arithmetic is exact while they are
 Gaussian rationals, and a complex base point, coefficient or irrational
 root makes the coefficients it touches complex.  The derivative table
@@ -15,12 +17,11 @@ so row i collects the derivatives of total order i+1.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .scalars import GaussianRational, is_exact, rational_nth_root, scalar, scalar_is_zero
+from .scalars import GaussianRational, is_exact, power, principal_root, scalar, scalar_is_zero
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
@@ -113,42 +114,22 @@ class Jet2:
 
     def pow_int(self, n: int) -> "Jet2":
         if n < 0:
-            return self.inverse().pow_int(-n)
-        out = Jet2.constant(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self) -> "Jet2":
-        """1/f for f with nonzero constant term, via the geometric series."""
-        c0 = self.const_term
-        if scalar_is_zero(c0, 1e-300):
-            raise ZeroDivisionError("jet has zero constant term")
-        u = self.scale(1 / c0) - 1
-        # 1/f = (1/c0) * sum (-u)^m
-        acc = Jet2.constant(1, self.order)
-        term = acc
-        for _ in range(self.order):
-            term = term * (-u)
-            acc = acc + term
-        return acc.scale(1 / c0)
+            return self.rational_power(-1).pow_int(-n)
+        return power(self, n, Jet2.constant(1, self.order))
 
     def __truediv__(self, other):
-        return self * self._align(other).inverse()
+        return self * self._align(other).rational_power(-1)
 
     def rational_power(self, e: Fraction) -> "Jet2":
         """f^e for rational e via the binomial series around the constant term.
 
-        Exact when e is an integer or the constant term is exact and has
-        an exact denominator-of-e root in Q(i); otherwise the leading
-        factor is the principal complex power.
+        A nonnegative integer e is binary powering, and a negative one the
+        power of 1/f (e = -1, the geometric series).  The series is exact
+        when the constant term c0 is, and the leading factor
+        principal_root(c0, q)^p (e = p/q) when the root lies in Q(i).
         """
         e = Fraction(e)
-        if e.denominator == 1:
+        if e.denominator == 1 and e != -1:
             return self.pow_int(int(e))
         c0 = self.const_term
         if scalar_is_zero(c0, 1e-300):
@@ -160,29 +141,13 @@ class Jet2:
         for m in range(1, self.order + 1):
             binom *= Fraction(e - m + 1, m)
             term = term * u
-            acc = acc + term.scale(binom)
-        return acc.scale(_scalar_rational_power(c0, e))
+            # +-1 (every coefficient for e = -1) is a negation, which keeps the
+            # sign of a zero part where a complex product by -1 would not
+            acc = acc + (term if binom == 1 else -term if binom == -1 else term.scale(binom))
+        return acc.scale(principal_root(c0, e.denominator) ** e.numerator)
 
     def __repr__(self):
         return f"Jet2(order={self.order}, terms={len(self.coeffs)})"
-
-
-def _scalar_rational_power(c0, e: Fraction):
-    """c0^e: exact when c0 has an exact e.denominator-th root in Q(i),
-    else the principal complex power."""
-    if isinstance(c0, GaussianRational):
-        # peel the denominator as an exact root (denominators here are tiny)
-        den, root = e.denominator, None
-        if c0.is_real() and c0.re > 0:
-            r = rational_nth_root(c0.re, den)
-            root = None if r is None else GaussianRational(r)
-        elif den == 2:
-            root = c0.sqrt_exact()
-        elif c0 == _ONE:
-            root = _ONE
-        if root is not None:
-            return root ** e.numerator
-    return cmath.exp(float(e) * cmath.log(complex(c0)))
 
 
 @dataclass

@@ -11,8 +11,9 @@ import pytest
 
 import homopot
 from homopot.cli import main
-from homopot.potential import potential_from_json
-from homopot.report import (analyze, batch, report_json_text,
+from homopot.parse import ParseError, parse_potential
+from homopot.potential import PotentialError, potential_from_json
+from homopot.report import (AnalysisReport, analyze, batch, report_json_text,
                             NON_INTEGRABLE, PASSES, RADIAL_CANDIDATE)
 
 DATA = Path(__file__).parent / "data"
@@ -91,6 +92,11 @@ def _case(text, outcome, name=None):
     # a leading coefficient 3^100 beyond 2^53: the float test cannot reject
     # a candidate, the test mod P does
     _case("(2*q1)^100 + (3*q2)^100", "100"),
+    # mu = g1(s)/q(s)^2 = 2*500^500 overflows on the float directions s = +-sqrt(500)
+    _case("q1^2*q2^1000", "DarbouxError"),
+    # exact points beyond double range cannot be sorted in doubles
+    _case(f"1/{10**2500}*q1^3 + {10**2500}*q2^3", "DarbouxError",
+          "1/10^2500*q1^3 + 10^2500*q2^3"),
 ])
 def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
@@ -255,6 +261,22 @@ def test_cli_json_beyond_the_int_digit_limit_is_an_error(capsys):
     # int-to-str limit lets the JSON writer print: a typed error, no traceback
     code, out, err = run_cli(capsys, "analyze", "(2*q1)^20000", "--json")
     assert (code, out) == (1, "") and err.startswith("error: report has no JSON form")
+
+
+def test_int_digit_limit_gives_typed_errors(tmp_path):
+    # numbers with more decimal digits than Python's int-to-str limit (4300)
+    # exist exactly; only their decimal forms are typed errors
+    rep = analyze(f"1/{10**2500}*q1^2*q2 + {10**2500}*q2^3")
+    assert rep.verdict == NON_INTEGRABLE
+    for render in (report_json_text, AnalysisReport.to_text):
+        with pytest.raises(PotentialError, match="report has no (JSON|text) form"):
+            render(rep)
+    with pytest.raises(ParseError, match="number literal of 5001 characters"):
+        analyze("1" + "0" * 5000 + "*q1^3")
+    with pytest.raises(PotentialError, match="potential has no text form"):
+        analyze(parse_potential("(2*q1)^20000"))
+    (tmp_path / "big.pot").write_text("(2*q1)^20000\n")
+    assert batch(tmp_path).summary_rows == [("big.pot", "", "", "", "error: PotentialError")]
 
 
 def test_cli_polar_analyze(capsys):

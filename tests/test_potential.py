@@ -315,6 +315,18 @@ def test_jet_singularities():
             jet_at(parse_potential(text), (1, 0), -3)
 
 
+@pytest.mark.parametrize("text, point", [
+    # r^2 = 2*10^400 is exact but beyond double range, and r^-3 underflows
+    ("r^-3", (10**200, 10**200)),
+    ("r^-3*(1+1/10*cos(2*theta))", (10**200, 10**200)),
+    # a float point whose jet overflows
+    ("q1^3", (1e200, 0.5)),
+])
+def test_jet_beyond_double_range_is_an_error(text, point):
+    with pytest.raises(PotentialError, match="beyond double range"):
+        jet_at(parse_potential(text), point, 1)
+
+
 def test_euler_recurrence_at_normalized_point():
     # at a normalized Darboux point (1,0): d[i][j] = (k - i) d[i-1][j] for j <= i
     for text in ("q1^3 - 1/2*q1*q2^2 + q2^3", "r^-3"):

@@ -1,10 +1,13 @@
+import cmath
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from homopot.scalars import (GaussianRational, gr, integer_nth_root, is_exact,
-                             parse_rational, rational_nth_root, rational_sqrt, scalar)
+                             parse_rational, power, principal_root, rational_nth_root,
+                             rational_sqrt, scalar)
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -56,6 +59,48 @@ def test_integer_powers():
     assert z**2 == gr(0, 2)
     assert z**-2 == gr(0, Fraction(-1, 2))
     assert z**0 == gr(1)
+
+
+class _CountingRing:
+    """Integers that count the squarings and the other products taken."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        self.log["square" if other is self else "product"] += 1
+        return _CountingRing(self.value * other.value, self.log)
+
+
+def test_power_takes_no_square_after_the_last_bit():
+    one = gr(1)
+    assert power(gr(3, 1), 0, one) is one
+    log = Counter()
+    x8 = power(_CountingRing(3, log), 8, _CountingRing(1, log))
+    # x^2, x^4, x^8 and one product with one; a loop that squares after
+    # every bit takes a fourth square
+    assert x8.value == 3**8 and log == {"square": 3, "product": 1}
+    assert power(gr(1, 1), 5, one) == gr(-4, -4)
+
+
+def test_principal_root_exact_cases():
+    z = gr(2, -3)
+    assert principal_root(z, 1) is z and principal_root(z, -1) == 1 / z
+    assert principal_root(gr(-3, 4), 2) == gr(1, 2)
+    assert principal_root(gr(8), -3) == gr(Fraction(1, 2))
+    assert is_exact([principal_root(gr(-3, 4), 2), principal_root(gr(8), -3)])
+
+
+def test_principal_root_off_the_exact_cases():
+    # -0.0 in the imaginary part still gives the principal root, arg pi/3
+    y = principal_root(complex(-8, -0.0), 3)
+    assert abs(cmath.phase(y) - cmath.pi / 3) < 1e-15 and abs(abs(y) - 2) < 1e-14
+    # x = 2^-20000 underflows a double; its root is read off the exact log
+    y = principal_root(gr(Fraction(1, 2**20000)), 19998)
+    assert isinstance(y, complex) and abs(y - 2 ** (-20000 / 19998)) < 1e-15
+    # here the root 10^-400/sqrt(2) underflows too
+    with pytest.raises(OverflowError, match="beyond double range"):
+        principal_root(gr(Fraction(1, 2 * 10**800)), 2)
 
 
 def test_integer_nth_root():
