@@ -209,6 +209,24 @@ def classify(V: Potential, c) -> DarbouxPoint:
     return _point(k, (c0, c1), lam, multiple and not iso, iso, 1, residual)
 
 
+def _newton_point(k: int, W: UPoly, dW: UPoly, q: UPoly, g1: UPoly, s: complex,
+                  m: int) -> DarbouxPoint:
+    """The point on the float direction (1, s), a root of W of multiplicity
+    m, whose float residual failed.  |W(s)| in doubles cannot fall below its
+    rounding floor, about 2^-52 sum |W_j s^j|, and s is only as accurate as
+    that; so only a failing root pays for one exact Newton step
+    S - m W(S)/W'(S) from S = s, rounded to a complex s, with q, mu and
+    lambda taken there and the residual from W exact at it."""
+    S = GaussianRational(s.real, s.imag)
+    dWS = dW(S)
+    if not dWS.is_zero():
+        s = to_complex(S - m * W(S) / dWS)
+        S = GaussianRational(s.real, s.imag)
+    qs, g = q(s), g1(s)
+    return _point_on(k, (1.0 + 0j, s), g / (qs * qs), k - k * dW(s) / g, m, m > 1,
+                     defect=abs(to_complex(W(S))) / abs(qs) ** 2)
+
+
 def _radial_coefficient(V: Potential):
     """a with V = a (q1^2+q2^2)^(k/2), for a rotation-invariant V: the value
     of V at the first point ((1-t^2), 2t)/(1+t^2), t = 0, 1, 2, ..., of the
@@ -252,10 +270,7 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
             try:
                 points.append(point(abs(W(s)) / abs(qs) ** 2))
             except DarbouxError:
-                # |W(s)| in doubles cannot fall below its rounding floor, about
-                # 2^-52 sum |W_j s^j|; only a failing root pays for W exact at s
-                exact_w = W(GaussianRational(s.real, s.imag))
-                points.append(point(abs(to_complex(exact_w)) / abs(qs) ** 2))
+                points.append(_newton_point(k, W, dW, q, g1, s, m))
         # (0, 1) is the root t = 0 of -t^n W(1/t), n = k + 2e, read off exactly
         n = k + 2 * e
         q0, top = _coeff(q, e), _coeff(g2, n - 1)

@@ -12,7 +12,9 @@ alpha}.  Closed form:
 valid for every real a by analytic continuation; it vanishes identically
 when Gamma(a+3/2) sits at a pole (a in {-3/2, -5/2, ...}), which the
 commutativity classifier treats as its own branch.  The quadrature path
-below is an independent numerical route to the same numbers.
+below is an independent numerical route to the same numbers: it walks
+the loop piece by piece and continues the branch of (t^2-1)^alpha along
+it.
 """
 
 from __future__ import annotations
@@ -107,32 +109,31 @@ class LoopSpec:
     j: int
 
     def pieces(self):
-        """Smooth pieces (t(u), dt(u), u in [0,1]); quarter arcs per loop."""
+        """The smooth pieces of the loop in order, as (t, t') function pairs
+        on u in [0, 1]: segments on the real axis and quarter arcs, four per
+        turn, so no piece turns t - 1 or t + 1 by pi or more."""
         j, r = self.j, _RADIUS
-        out = []
 
         def segment(a, b):
-            out.append(("seg", a, b))
+            a, b = complex(a), complex(b)
+            return (lambda u: a + (b - a) * u), (lambda u: b - a)
+
+        def arc(center, a0, da):
+            return ((lambda u: center + r * cmath.exp(1j * (a0 + da * u))),
+                    (lambda u: r * 1j * da * cmath.exp(1j * (a0 + da * u))))
 
         def arcs(center, start_angle, turns):
             # one full turn = 4 quarter arcs; sign of `turns` = orientation
-            n = 4 * abs(turns)
-            sgn = 1 if turns > 0 else -1
-            for q in range(n):
-                a0 = start_angle + sgn * q * math.pi / 2
-                out.append(("arc", center, a0, sgn * math.pi / 2))
+            da = math.copysign(math.pi / 2, turns)
+            return [arc(center, start_angle + q * da, da) for q in range(4 * abs(turns))]
 
         if j == 0:
-            segment(0.0, 1 - r)
-            segment(1 - r, 0.0)
-            return out
-        segment(0.0, 1 - r)
-        arcs(1.0, math.pi, j)            # j ccw turns around +1
-        segment(1 - r, 0.0)
-        segment(0.0, -1 + r)
-        arcs(-1.0, 0.0, -j)              # j cw turns around -1
-        segment(-1 + r, 0.0)
-        return out
+            return [segment(0.0, 1 - r), segment(1 - r, 0.0)]
+        return [segment(0.0, 1 - r),
+                *arcs(1.0, math.pi, j),           # j ccw turns around +1
+                segment(1 - r, 0.0), segment(0.0, -1 + r),
+                *arcs(-1.0, 0.0, -j),             # j cw turns around -1
+                segment(-1 + r, 0.0)]
 
 
 @functools.cache
@@ -160,57 +161,13 @@ def _gl(n: int):
     return nodes, weights
 
 
-class _BranchState:
-    """Continuous arguments of (t-1) and (t+1) along the path."""
+def _adaptive_gl(f, tol: float):
+    """(integral of f over [0, 1], error estimate): the 24-point
+    Gauss-Legendre rule, bisecting each interval whose halves differ from
+    it by tol or more, down to depth 24."""
+    x, w = _gl(24)
 
-    __slots__ = ("th1", "th2")
-
-    def __init__(self, th1: float, th2: float):
-        self.th1 = th1
-        self.th2 = th2
-
-
-def _piece_param(piece):
-    kind = piece[0]
-    if kind == "seg":
-        _, a, b = piece
-        a, b = complex(a), complex(b)
-
-        def t(u):
-            return a + (b - a) * u
-
-        def dt(u):
-            return b - a
-        return t, dt, a, b
-    _, center, a0, da = piece
-    r = _RADIUS
-
-    def t(u):
-        return center + r * cmath.exp(1j * (a0 + da * u))
-
-    def dt(u):
-        return r * 1j * da * cmath.exp(1j * (a0 + da * u))
-    return t, dt, t(0.0), t(1.0)
-
-
-def _integrate_piece(piece, alpha_f: float, state: _BranchState, tol: float):
-    """Adaptive Gauss-Legendre over one smooth piece with branch tracking."""
-    t, dt, t0, t1 = _piece_param(piece)
-
-    def theta(u):
-        tv = t(u)
-        d1 = cmath.log((tv - 1) / (t0 - 1)).imag
-        d2 = cmath.log((tv + 1) / (t0 + 1)).imag
-        return state.th1 + d1, state.th2 + d2
-
-    def f(u):
-        tv = t(u)
-        th1, th2 = theta(u)
-        mag = alpha_f * (math.log(abs(tv - 1)) + math.log(abs(tv + 1)))
-        return cmath.exp(mag + 1j * alpha_f * (th1 + th2)) * dt(u)
-
-    def gl_on(a, b, n=24):
-        x, w = _gl(n)
+    def rule(a, b):
         mid, half = (a + b) / 2, (b - a) / 2
         acc = 0j
         for xi, wi in zip(x, w):
@@ -219,7 +176,7 @@ def _integrate_piece(piece, alpha_f: float, state: _BranchState, tol: float):
 
     def adapt(a, b, whole, depth):
         m = (a + b) / 2
-        left, right = gl_on(a, m), gl_on(m, b)
+        left, right = rule(a, m), rule(m, b)
         err = abs(whole - left - right)
         if err < tol or depth >= 24:
             return left + right, err
@@ -227,42 +184,46 @@ def _integrate_piece(piece, alpha_f: float, state: _BranchState, tol: float):
         vr, er = adapt(m, b, right, depth + 1)
         return vl + vr, el + er
 
-    value, err = adapt(0.0, 1.0, gl_on(0.0, 1.0), 0)
-
-    # advance the running branch arguments past this piece
-    if piece[0] == "arc":
-        _, center, a0, da = piece
-        if center == 1.0:
-            state.th1 += da
-            state.th2 += cmath.log((t1 + 1) / (t0 + 1)).imag
-        else:
-            state.th2 += da
-            state.th1 += cmath.log((t1 - 1) / (t0 - 1)).imag
-    else:
-        state.th1 += cmath.log((t1 - 1) / (t0 - 1)).imag
-        state.th2 += cmath.log((t1 + 1) / (t0 + 1)).imag
-    return value, err
+    return adapt(0.0, 1.0, rule(0.0, 1.0), 0)
 
 
 def period_quadrature(spec: LoopSpec, alpha, tol: float = 1e-10) -> PeriodValue:
-    """Numerical analytic continuation of the period along the loop."""
+    """Numerical analytic continuation of the period along the loop.
+
+    (t^2-1)^alpha = exp(alpha (log|t-1| + log|t+1| + i (th1 + th2))) with
+    th1, th2 the arguments of t-1 and t+1, continued from (pi, 0) at t = 0
+    over each piece t from t0 as th + phase((t -+ 1)/(t0 -+ 1)), which holds
+    because no piece turns either factor by pi or more.
+    """
     alpha = Q(alpha)
     if tol < 1e-12:
         raise ValueError("tol below the 1e-12 floor of the quadrature")
     pieces = spec.pieces()
-    # branch determination at t=0: arg(t-1) = pi, arg(t+1) = 0
-    state = _BranchState(math.pi, 0.0)
     alpha_f = float(alpha)
     piece_tol = tol / max(1, len(pieces)) / 4
+    th1, th2 = math.pi, 0.0
     total = 0j
     err = 0.0
-    for piece in pieces:
-        v, e = _integrate_piece(piece, alpha_f, state, piece_tol)
+    for t, dt in pieces:
+        t0 = t(0.0)
+
+        def args(tv):
+            return (th1 + cmath.phase((tv - 1) / (t0 - 1)),
+                    th2 + cmath.phase((tv + 1) / (t0 + 1)))
+
+        def f(u):
+            tv = t(u)
+            a1, a2 = args(tv)
+            mag = alpha_f * (math.log(abs(tv - 1)) + math.log(abs(tv + 1)))
+            return cmath.exp(mag + 1j * alpha_f * (a1 + a2)) * dt(u)
+
+        v, e = _adaptive_gl(f, piece_tol)
         total += v
         err += e
+        th1, th2 = args(t(1.0))
     # loop closure on the Riemann surface: arg(t-1) gains 2 pi j, arg(t+1) loses it
-    closure = max(abs(state.th1 - math.pi - 2 * math.pi * spec.j),
-                  abs(state.th2 + 2 * math.pi * spec.j))
+    closure = max(abs(th1 - math.pi - 2 * math.pi * spec.j),
+                  abs(th2 + 2 * math.pi * spec.j))
     if closure > 1e-9:
         raise ArithmeticError(f"branch tracking failed to close the loop ({closure:.2e})")
     return PeriodValue(alpha, spec.j, total, "quadrature", error_bound=err)
@@ -373,18 +334,13 @@ def g_verdict(l: int, k: int) -> GVerdict:
         "alpha_minus_beta_integer": alpha - beta,    # (k+2)/k in Z
     }
     checklist = {}
-    any_hit = False
     for name, val in checks.items():
         if name in ("alpha_integer", "beta_integer", "alpha_minus_beta_integer"):
             hit = val.denominator == 1
         else:
             hit = val.denominator == 1 and val >= 0
         checklist[name] = (val, hit)
-        any_hit = any_hit or hit
 
     if k == 1:
         return GVerdict(l, k, NON_COMMUTATIVE, "dilogarithm", checklist)
-    if any_hit:
-        # cannot happen for |k| > 2; guard for completeness
-        return GVerdict(l, k, COMMUTATIVE_POSSIBLE, "exclusion condition met", checklist)
     return GVerdict(l, k, NON_COMMUTATIVE, "all five exclusion conditions fail", checklist)

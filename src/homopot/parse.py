@@ -13,18 +13,20 @@ kinds; radial/polar input uses `r` and `theta`, e.g. ``r^-3`` or
 ``r^-3*(1 + 1/10*cos(2*theta))``.  Numbers may be integers, fractions
 via `/`, or decimal literals.
 
-One walker evaluates every expression in one ring: quotients of sparse
-Laurent polynomials in two variables over Q(i).  Cartesian input uses the
-variables (q1, q2).  Polar input uses (r, z) with z = e^{i theta}, where
-cos m theta = (z^m + z^-m)/2 and sin m theta = (z^m - z^-m)/(2i), so a
-product of trig polynomials is a convolution of their coefficients; it
-may divide only by c*r^p, so its denominator stays 1 and U is read off the
-z-exponents.  A cos/sin argument is evaluated in the same ring with theta
-as its only variable and must come out as m*theta, m an integer.
-Dividing by an expression that is identically zero is an error wherever
-it happens.  A power of a sum is refused before it is expanded when its
-expansion could have more than MAX_POWER_TERMS terms, which bounds the
-parse time; a power of a single term is never refused.
+The recursive-descent parser evaluates each construct as it reads it, in
+one ring: quotients of sparse Laurent polynomials in two variables over
+Q(i), so the first error met, syntactic or not, is the one reported.
+Cartesian input uses the variables (q1, q2).  Polar input uses (r, z) with
+z = e^{i theta}, where cos m theta = (z^m + z^-m)/2 and
+sin m theta = (z^m - z^-m)/(2i), so a product of trig polynomials is a
+convolution of their coefficients; it may divide only by c*r^p, so its
+denominator stays 1 and U is read off the z-exponents.  A cos/sin argument
+is read in the same ring with theta as its only variable and must come out
+as m*theta, m an integer.  Dividing by an expression that is identically
+zero is an error wherever it happens.  A power of a sum is refused before
+it is expanded when its expansion could have more than MAX_POWER_TERMS
+terms, which bounds the parse time; a power of a single term is never
+refused.
 """
 
 from __future__ import annotations
@@ -79,112 +81,7 @@ def _number(text: str, pos: int):
         raise ParseError(f"number literal of {len(text)} characters is too long", pos) from None
 
 
-# -- AST ---------------------------------------------------------------
-
-class Node:
-    __slots__ = ("op", "args", "pos")
-
-    def __init__(self, op, args, pos):
-        self.op = op        # 'num' 'var' 'neg' 'add' 'sub' 'mul' 'div' 'pow' 'cos' 'sin'
-        self.args = args
-        self.pos = pos
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Node("add" if val == "+" else "sub", [node, rhs], pos)
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Node("mul" if val == "*" else "div", [node, rhs], pos)
-            elif kind == "name" or (kind == "op" and val == "("):
-                # implicit product, e.g. 3q1^2 or 2(q1+q2)
-                rhs = self.unary()
-                node = Node("mul", [node, rhs], pos)
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            inner = self.unary()
-            return inner if val == "+" else Node("neg", [inner], pos)
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            sign = 1
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "op" and val2 in "+-":
-                self.next()
-                sign = -1 if val2 == "-" else 1
-                kind2, val2, pos2 = self.peek()
-            if kind2 != "number" or "." in val2:
-                raise ParseError("exponent must be an integer", pos2)
-            self.next()
-            return Node("pow", [base, sign * _number(val2, pos2)], pos)
-        return base
-
-    def atom(self) -> Node:
-        kind, val, pos = self.next()
-        if kind == "number":
-            return Node("num", [Fraction(_number(val, pos))], pos)
-        if kind == "name":
-            if val in ("cos", "sin"):
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Node(val, [arg], pos)
-            return Node("var", [val], pos)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
-
-
-# -- semantics: one ring for every grammar --------------------------------
+# -- one ring for every grammar ------------------------------------------
 
 _ONE = {(0, 0): GaussianRational(1)}
 
@@ -241,34 +138,121 @@ _POLAR = _Grammar({"r": _X, "i": _I}, True, "bare {} outside cos/sin")
 _TRIG_ARG = _Grammar({"theta": _X}, False, "trig argument must be an integer multiple of theta")
 
 
-def _evaluate(node: Node, g: _Grammar) -> _RatFunc:
-    op, args = node.op, node.args
-    if op == "num":
-        return _RatFunc({(0, 0): GaussianRational(args[0])})
-    if op == "var" and args[0] in g.symbols:
-        return g.symbols[args[0]]
-    if op in ("cos", "sin") and g.polar:
-        # cos m theta = (z^m + z^-m)/2, sin m theta = (z^m - z^-m)/(2i)
-        m = _trig_multiple(args[0])
-        c = GaussianRational(Fraction(1, 2)) if op == "cos" else GaussianRational(0, Fraction(-1, 2))
-        return _RatFunc({(0, m): c}) + _RatFunc({(0, -m): c.conjugate()})
-    if op == "neg":
-        return -_evaluate(args[0], g)
-    if op in ("add", "sub"):
-        a, b = _evaluate(args[0], g), _evaluate(args[1], g)
-        return a + (b if op == "add" else -b)
-    if op == "mul":
-        return _evaluate(args[0], g) * _evaluate(args[1], g)
-    if op == "div":
-        return _evaluate(args[0], g) * _invert(_evaluate(args[1], g), g.polar)
-    if op == "pow":
-        base, n = _evaluate(args[0], g), args[1]
+class _Parser:
+    """Recursive descent that returns the value of each construct in the
+    ring of its grammar; the first error met is raised."""
+
+    def __init__(self, tokens, grammar: _Grammar):
+        self.tokens = tokens
+        self.k = 0
+        self.g = grammar
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def next(self):
+        t = self.tokens[self.k]
+        self.k += 1
+        return t
+
+    def expect_op(self, op):
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+
+    def parse(self) -> _RatFunc:
+        value = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        return value
+
+    def expr(self) -> _RatFunc:
+        value = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if not (kind == "op" and val in "+-"):
+                return value
+            self.next()
+            rhs = self.term()
+            value = value + (rhs if val == "+" else -rhs)
+
+    def term(self) -> _RatFunc:
+        value = self.unary()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                rhs = self.unary()
+                value = value * (rhs if val == "*" else _invert(rhs, self.g.polar))
+            elif kind == "name" or (kind == "op" and val == "("):
+                # implicit product, e.g. 3q1^2 or 2(q1+q2)
+                value = value * self.unary()
+            else:
+                return value
+
+    def unary(self) -> _RatFunc:
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            inner = self.unary()
+            return inner if val == "+" else -inner
+        return self.power()
+
+    def power(self) -> _RatFunc:
+        base = self.atom()
+        kind, val, pos = self.peek()
+        if not (kind == "op" and val == "^"):
+            return base
+        self.next()
+        sign = 1
+        kind2, val2, pos2 = self.peek()
+        if kind2 == "op" and val2 in "+-":
+            self.next()
+            sign = -1 if val2 == "-" else 1
+            kind2, val2, pos2 = self.peek()
+        if kind2 != "number" or "." in val2:
+            raise ParseError("exponent must be an integer", pos2)
+        self.next()
+        n = sign * _number(val2, pos2)
         size = max(_power_size(base.num, abs(n)), _power_size(base.den, abs(n)))
         if size > MAX_POWER_TERMS:
             raise ParseError(f"power too large: its expansion may have {size} terms, "
-                             f"more than {MAX_POWER_TERMS}", node.pos)
-        return (base if n >= 0 else _invert(base, g.polar)) ** abs(n)
-    raise ParseError(g.refusal.format(args[0] if op == "var" else op), node.pos)
+                             f"more than {MAX_POWER_TERMS}", pos)
+        return (base if n >= 0 else _invert(base, self.g.polar)) ** abs(n)
+
+    def atom(self) -> _RatFunc:
+        kind, val, pos = self.next()
+        if kind == "number":
+            return _RatFunc({(0, 0): GaussianRational(Fraction(_number(val, pos)))})
+        if kind == "name" and val in self.g.symbols:
+            return self.g.symbols[val]
+        if kind == "name" and val in ("cos", "sin") and self.g.polar:
+            # cos m theta = (z^m + z^-m)/2, sin m theta = (z^m - z^-m)/(2i)
+            self.expect_op("(")
+            m = self.trig_multiple()
+            self.expect_op(")")
+            c = GaussianRational(Fraction(1, 2)) if val == "cos" else GaussianRational(0, Fraction(-1, 2))
+            return _RatFunc({(0, m): c}) + _RatFunc({(0, -m): c.conjugate()})
+        if kind == "name":
+            raise ParseError(self.g.refusal.format(val), pos)
+        if kind == "op" and val == "(":
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+
+    def trig_multiple(self) -> int:
+        """m for a cos/sin argument that evaluates to m*theta, m an integer."""
+        grammar, self.g = self.g, _TRIG_ARG
+        pos = self.peek()[2]
+        f = self.expr()
+        self.g = grammar
+        if set(f.num) <= {(1, 0)} and set(f.den) == {(0, 0)}:
+            m = f.num.get((1, 0), GaussianRational(0)) / f.den[(0, 0)]
+            if m.im == 0 and m.re.denominator == 1:
+                return int(m.re)
+        raise ParseError(_TRIG_ARG.refusal, pos)
 
 
 def _power_size(f: dict, n: int) -> int:
@@ -280,16 +264,6 @@ def _power_size(f: dict, n: int) -> int:
         return 1
     da, db, ds = (max(e) - min(e) for e in zip(*((a, b, a + b) for a, b in f)))
     return min((n * x + 1) * (n * y + 1) for x, y in ((da, db), (da, ds), (db, ds)))
-
-
-def _trig_multiple(node: Node) -> int:
-    """m for a cos/sin argument that evaluates to m*theta, m an integer."""
-    f = _evaluate(node, _TRIG_ARG)
-    if set(f.num) <= {(1, 0)} and set(f.den) == {(0, 0)}:
-        m = f.num.get((1, 0), GaussianRational(0)) / f.den[(0, 0)]
-        if m.im == 0 and m.re.denominator == 1:
-            return int(m.re)
-    raise ParseError(_TRIG_ARG.refusal, node.pos)
 
 
 def _angular_part(terms: dict) -> TrigPoly:
@@ -329,11 +303,10 @@ def parse_potential(text: str) -> Potential:
     """
     tokens = tokenize(text)
     names = {val for kind, val, _ in tokens if kind == "name"}
-    ast = _Parser(tokens).parse()
     if names & {"r", "theta"}:
         if names & {"q1", "q2"}:
             raise ParseError("cannot mix Cartesian q1/q2 with polar r/theta")
-        terms = _evaluate(ast, _POLAR).num
+        terms = _Parser(tokens, _POLAR).parse().num
         if not terms:
             raise ParseError("potential is identically zero")
         exps = sorted({p for p, _ in terms})
@@ -344,7 +317,7 @@ def parse_potential(text: str) -> Potential:
             raise ParseError("polar angular part must have real coefficients")
         return Potential.polar(U, k)
 
-    rf = _evaluate(ast, _CARTESIAN)
+    rf = _Parser(tokens, _CARTESIAN).parse()
     num, den = _reduce_monomial_content(rf.num, rf.den)
     den_poly = _as_homopoly(den, "denominator")
     num_poly = _as_homopoly(num, "potential")
@@ -361,7 +334,7 @@ def parse_trig_poly(text: str) -> TrigPoly:
     names = {val for kind, val, _ in tokens if kind == "name"}
     if names & {"q1", "q2", "r"}:
         raise ParseError("U must be a trig polynomial in theta only")
-    U = _angular_part(_evaluate(_Parser(tokens).parse(), _POLAR).num)
+    U = _angular_part(_Parser(tokens, _POLAR).parse().num)
     if not U.is_real():
         raise ParseError("U must have real coefficients")
     return U

@@ -97,21 +97,10 @@ def select_extremum(U: TrigPoly) -> CriticalPoint:
     crits = critical_points(U)
     values = [U.evaluate(p.theta) for p in crits]
     vmax, vmin = max(values), min(values)
-    tol = 1e-12 * max(1.0, abs(vmax), abs(vmin))
-
-    def first_attaining(target):
-        for p, v in zip(crits, values):
-            if abs(v - target) <= tol:
-                return p
-        raise PolarError("extremum selection failed")
-
-    if vmin >= -tol:                      # max U >= min U >= 0
-        return first_attaining(vmax)
-    if vmax >= tol:                       # max U > 0 > min U
-        return first_attaining(vmax)
-    if abs(vmax) <= tol:                  # max U = 0 >= min U
-        return first_attaining(vmin)
-    return first_attaining(vmin)          # 0 > max U >= min U
+    tol = 1e-12 * max(abs(vmax), abs(vmin))  # relative: the rule ignores the scale of U
+    # max U >= min U >= 0 or max U > 0 > min U: the maximum; 0 >= max U: the minimum
+    target = vmax if vmin >= -tol or vmax >= tol else vmin
+    return next(p for p, v in zip(crits, values) if abs(v - target) <= tol)
 
 
 @dataclass

@@ -74,6 +74,11 @@ DEGREE_10_LINEAR_FORMS = (
     " - 10756313/41472*q1^3*q2^7 + 158795/4608*q1^2*q2^8 - 3925/1536*q1*q2^9"
     " + 125/1536*q2^10")
 
+DEGREE_10_RATIONAL_FORMS = (
+    "(4/3*q1 + 7/3*q2)*(2/3*q1 + 2/5*q2)*(-1/3*q1 + 1*q2)*(1/3*q1 + 1/5*q2)*(3*q1 + 6*q2)"
+    "*(2*q1 + 7/6*q2)*(3*q1 + 8*q2)*(-1/2*q1 + 7/3*q2)*(2*q1 + 9/4*q2)*(-1/3*q1 + 8/3*q2)")
+
+
 
 def _case(text, outcome, name=None):
     return pytest.param(text, outcome, id=name or text)
@@ -87,6 +92,9 @@ def _case(text, outcome, name=None):
     _case(f"q1^3 + {10**400}*q2^3 + q1^2*q2", "DarbouxError", "q1^3 + 10^400*q2^3 + q1^2*q2"),
     # |s| > 1 puts |W(s)| in doubles far above its exact value at the float s
     _case(DEGREE_10_LINEAR_FORMS, "3", "degree-10 product of linear forms"),
+    # the float root s is off by 7e-14 relative, which |gamma|^(k-1)/|q(s)|^2
+    # amplifies past the residual bound: one exact Newton step rescues it
+    _case(DEGREE_10_RATIONAL_FORMS, "9", "degree-10 product of rational linear forms"),
     # the root s = 0 of W has multiplicity 2999: split off before Yun
     _case("q1^2*q2^3000 + q2^3002", "3"),
     # a leading coefficient 3^100 beyond 2^53: the float test cannot reject
@@ -295,12 +303,40 @@ def test_cli_darboux(capsys):
     assert js["points"][0]["spectrum"] == ["6", "0"]
 
 
+def test_cli_darboux_text_is_golden(capsys):
+    text = (DATA / "corpus" / "02_axis_product.pot").read_text().strip()
+    code, out, _ = run_cli(capsys, "darboux", text)
+    assert code == 0
+    assert out == (DATA / "golden_darboux_02_axis_product.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["polar-analyze", "--U", "q1", "--k", "-3"], "U must be a trig polynomial in theta only"),
+    (["polar-analyze", "--U", "cos(theta)", "--k", "3"], "negative degrees only"),
+    (["darboux", "q1^2 + q2"], "non-homogeneous"),
+    (["morales-check", "--k", "3", "--lambda", "1/0"], "not a rational number"),
+    (["monodromy-period", "--alpha", "-1", "--j", "1"], "negative integer alpha"),
+    (["monodromy-period", "--alpha", "1/3", "--j", "1", "--quad-tol", "1e-13"],
+     "1e-12 floor"),
+])
+def test_cli_error_exits(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_morales_check(capsys):
     code, out, _ = run_cli(capsys, "morales-check", "--k", "-3", "--lambda", "-37/11")
     assert code == 0 and "inadmissible" in out
     code, out, _ = run_cli(capsys, "morales-check", "--k", "-2", "--lambda", "17/3",
                            "--json")
     assert json.loads(out)["admissible"] is True
+
+
+def test_cli_morales_check_witness_line(capsys):
+    code, out, _ = run_cli(capsys, "morales-check", "--k", "3", "--lambda", "0")
+    assert code == 0
+    assert out == "(k, lambda) = (3, 0): admissible\nwitness: family 1 at i = 0\n"
 
 
 def test_cli_morales_k5_variant(capsys):
@@ -346,6 +382,19 @@ def test_cli_monodromy_period(capsys):
     assert js["abs_diff"] < 1e-8
 
 
+def test_cli_monodromy_period_text(capsys):
+    code, out, _ = run_cli(capsys, "monodromy-period", "--alpha", "-1/2", "--j", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "alpha = -1/2, j = 1"
+    values = [complex(line.split(":", 1)[1].strip()) for line in lines[1:3]]
+    assert [line.split(":")[0] for line in lines[1:]] == ["closed form ", "quadrature  ",
+                                                           "|difference|"]
+    assert abs(values[0] + 6.283185307179586j) < 1e-9
+    assert abs(values[0] - values[1]) < 1e-9
+    assert float(lines[3].split(":")[1]) < 1e-9
+
+
 def test_cli_ve_build(capsys):
     code, out, _ = run_cli(capsys, "ve-build", "r^-3", "--level", "2", "--json")
     assert code == 0
@@ -367,6 +416,17 @@ def test_cli_ve_build(capsys):
         for level in ("-1", "-3"):
             code, out, err = run_cli(capsys, "ve-build", text, "--level", level)
             assert (code, out, err) == (1, "", "error: level must be >= 1\n"), (text, level)
+
+
+def test_cli_ve_build_text_and_lambda_override(capsys):
+    code, out, _ = run_cli(capsys, "ve-build", "r^-3", "--level", "2")
+    assert (code, out) == (0, "level 2 system, dimension 14, k = -3, lambda = -3\n"
+                               "26 transition entries\n")
+    code, out, _ = run_cli(capsys, "ve-build", "r^-3", "--level", "2", "--lambda", "5/2")
+    assert code == 0 and out.startswith("level 2 system, dimension 14, k = -3, lambda = 5/2\n")
+    code, out, _ = run_cli(capsys, "ve-build", "r^-3", "--level", "2", "--lambda", "5/2",
+                           "--json")
+    assert code == 0 and json.loads(out)["lambda"] == "5/2"
 
 
 def test_cli_ve_build_polar_is_golden(capsys):
@@ -415,6 +475,14 @@ def test_cli_batch_failure_exit(capsys, tmp_path):
     assert "bad.pot" in err
 
 
+def test_cli_batch_usage_and_write_errors(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "batch", str(DATA / "golden_summary.csv"))
+    assert (code, out) == (2, "") and err.startswith("error: not a directory:")
+    missing = tmp_path / "missing" / "summary.csv"
+    code, out, err = run_cli(capsys, "batch", str(DATA / "corpus"), "--out", str(missing))
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot write {missing}:")
+
+
 def test_cli_g_verdict(capsys):
     code, out, _ = run_cli(capsys, "g-verdict", "--k", "3", "--json")
     assert code == 0
@@ -433,6 +501,26 @@ def test_cli_dump_table(capsys):
     assert js["-3"][0]["row"] == "family 1"
     code, out, err = run_cli(capsys, "dump-table", "--k", "0")
     assert (code, out, err) == (1, "", "error: degree k = 0 has no table\n")
+
+
+def test_cli_g_verdict_text(capsys):
+    code, out, _ = run_cli(capsys, "g-verdict", "--k", "3")
+    assert code == 0
+    assert out == ("G(l=0, k=3): non_commutative (all five exclusion conditions fail)\n"
+                   "  alpha_integer: value 1/3, triggered False\n"
+                   "  beta_integer: value -4/3, triggered False\n"
+                   "  gamma_pole_beta: value -1/6, triggered False\n"
+                   "  gamma_pole_alpha: value -11/6, triggered False\n"
+                   "  alpha_minus_beta_integer: value 5/3, triggered False\n")
+
+
+def test_cli_dump_table_text(capsys):
+    code, out, _ = run_cli(capsys, "dump-table", "--k", "-3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["k = -3:", "  family 1: lambda = i*k*(i*k + k - 2)/2",
+                         "  family 2: lambda = (i*k + k - 1)*(i*k + 1)/2"]
+    assert len(lines) == 7 and lines[6] == "  k=-3 sporadic d: lambda = -25/8 + (12/5 + 6i)^2/8"
 
 
 def test_cli_usage_error_exit_code(capsys):

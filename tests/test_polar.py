@@ -56,6 +56,19 @@ def test_select_extremum_zero_max_case():
     assert U.evaluate(th) == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", ["1/10^20", "1/10^13", "-1", "10^20"])
+def test_select_extremum_ignores_the_scale_of_U(scale):
+    # the tie tolerance is relative: a tiny U must not tie every critical value
+    U = parse_trig_poly("2 - cos(2*theta)")
+    scaled = parse_trig_poly(f"{scale}*(2 - cos(2*theta))")
+    for V in (U, scaled):
+        p = polar.select_extremum(V)
+        assert p.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        assert polar.eigenvalue_at(V, -3, p.z) == Q(-13, 3)
+    verdict = polar.analyze_polar(scaled, -3)
+    assert verdict.point.lam == Q(-13, 3)
+
+
 def test_selected_extremum_guarantees(rng):
     for _ in range(40):
         U = TrigPoly(Q(rng.randint(-3, 3)),

@@ -105,6 +105,15 @@ def test_parse_errors():
             parse(text)
 
 
+def test_parse_errors_are_raised_where_first_met():
+    # a bad trig argument is reported at its first token
+    with pytest.raises(ParseError, match=r"integer multiple of theta \(at position 8\)$"):
+        parse_trig_poly("1/8*cos(theta + 1)")
+    # the parser evaluates as it reads: a zero division comes before a later syntax error
+    with pytest.raises(ParseError, match="^division by zero expression$"):
+        parse_potential("1/0 + )")
+
+
 def test_implicit_multiplication():
     assert parse_potential("3q1^2q2") == parse_potential("3*q1^2*q2")
 
