@@ -297,10 +297,10 @@ def _polar_darboux_points(U: TrigPoly, k: int) -> DarbouxSet:
         point = _point_on(k, (_ONE, _ZERO), U.const * k, GaussianRational(k), 1, True)
         return DarbouxSet(points=[point], continuum=True)
     dU = U.derivative()
-    points = []
+    points, zero_tol = [], 1e-12 * U.norm1()
     for theta, z, m in critical_points(U):
         u = value_at(U, z)
-        if scalar_is_zero(u, 1e-12):
+        if scalar_is_zero(u, zero_tol):
             continue  # U(theta) = 0 gives no finite Darboux point on this ray
         exact = isinstance(z, GaussianRational)
         d = (GaussianRational(z.re), GaussianRational(z.im)) if exact else (z.real, z.imag)

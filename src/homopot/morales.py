@@ -278,14 +278,3 @@ def admissible_values_at_most(k: int, bound: Fraction,
                 out[val] = (row.row_id, i)
     return out
 
-
-def eigenvalue_gap_scan(k: int, max_den: int = 100, max_num: int = 10**4,
-                      k5_variant: str = K5_PRINTED) -> list:
-    """Admissible rationals lambda <= k with |num| <= max_num, den <= max_den.
-
-    The key step behind the negative-degree classification: for
-    k in {-1,-3,-4,-5,-6,-7} the list is exactly [k].
-    """
-    found = admissible_values_at_most(k, Q(k), k5_variant)
-    return sorted(v for v in found
-                  if abs(v.numerator) <= max_num and v.denominator <= max_den)

@@ -273,17 +273,6 @@ def _angular_part(terms: dict) -> TrigPoly:
 
 # -- classification ------------------------------------------------------
 
-def _reduce_monomial_content(num: dict, den: dict):
-    """Cancel the common monomial factor of numerator and denominator."""
-    keys = list(num) + list(den)
-    gi = min(i for i, _ in keys)
-    gj = min(j for _, j in keys)
-    if gi == 0 and gj == 0:
-        return num, den
-    shift = lambda d: {(i - gi, j - gj): v for (i, j), v in d.items()}
-    return shift(num), shift(den)
-
-
 def _as_homopoly(terms: dict, what: str) -> HomoPoly:
     if not terms:
         raise ParseError(f"{what} is identically zero")
@@ -318,14 +307,8 @@ def parse_potential(text: str) -> Potential:
         return Potential.polar(U, k)
 
     rf = _Parser(tokens, _CARTESIAN).parse()
-    num, den = _reduce_monomial_content(rf.num, rf.den)
-    den_poly = _as_homopoly(den, "denominator")
-    num_poly = _as_homopoly(num, "potential")
-    if den_poly.degree == 0:
-        coef = den_poly.terms[(0, 0)]
-        scaled = {k: v / coef for k, v in num_poly.terms.items()}
-        return Potential.polynomial(HomoPoly(num_poly.degree, scaled))
-    return Potential.rational(num_poly, den_poly)
+    den_poly = _as_homopoly(rf.den, "denominator")
+    return Potential.rational(_as_homopoly(rf.num, "potential"), den_poly)
 
 
 def parse_trig_poly(text: str) -> TrigPoly:

@@ -8,13 +8,9 @@ The critical points are the roots of z^M U' on the unit circle, with
 their exact multiplicities, and U and U'' share M, so
 lambda = k + P_U''(z)/P_U(z) is exact whenever z is in Q(i), at any
 angle.  Choosing the extremum by the sign pattern of max U / min U
-guarantees U(theta0) != 0 and a second eigenvalue <= k, which for
-negative k pins the verdict: either the eigenvalue is inadmissible (not
-integrable), or it equals k and the point is multiple (only the
-rotation-invariant potential survives).  `analyze_polar` reports that
-point: multiple when z0 is a multiple root of z^M U' (the theorem
-decides), else the table's answer through `morales.eigenvalue_verdict`,
-the function `analyze` uses.  Degree -2 is unconditionally integrable."""
+guarantees U(theta0) != 0 and a second eigenvalue <= k, from which
+`analyze_polar` decides r^k U for every k < 0; `report.analyze` applies
+the same theorem.  Degree -2 is unconditionally integrable."""
 
 from __future__ import annotations
 
@@ -23,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .morales import K5_PRINTED, ST_ADMISSIBLE, ST_INADMISSIBLE, eigenvalue_verdict
+from .morales import K5_PRINTED, ST_INADMISSIBLE, PointVerdict, eigenvalue_verdict
 from .potential import PotentialError, TrigPoly
 from .scalars import GaussianRational, to_complex
 from .upoly import roots
@@ -32,7 +28,6 @@ RADIAL_INTEGRABLE = "radial_integrable"
 DEGREE_MINUS_TWO = "degree_minus_two_integrable"
 NON_INTEGRABLE = "non_integrable"
 MULTIPLE_POINT = "multiple_point_found"
-INDETERMINATE = "indeterminate"
 
 CRITICAL_RESIDUAL_TOL = 1e-10
 
@@ -66,7 +61,7 @@ def critical_points(U: TrigPoly) -> list:
         if not root.exact:
             z = z / abs(z)
         theta = cmath.phase(to_complex(z)) % (2 * math.pi)
-        if not root.exact and abs(dU.evaluate(theta)) > CRITICAL_RESIDUAL_TOL:
+        if not root.exact and abs(dU.evaluate(theta)) > CRITICAL_RESIDUAL_TOL * dU.norm1():
             raise PolarError(f"critical point residual too large at theta={theta}")
         out.append(CriticalPoint(theta, z, root.multiplicity))
     return sorted(out, key=lambda p: p.theta)
@@ -125,7 +120,16 @@ class PolarVerdict:
 
 
 def analyze_polar(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> PolarVerdict:
-    """Integrability verdict for V = r^k U(theta) with k < 0."""
+    """Integrability verdict for V = r^k U(theta) with k < 0.
+
+    At the extremum, lambda = k + U''/U <= k, with equality exactly at a
+    multiple root of z^M U'.  For k != -2 no table value lies below k, so a
+    simple root is not integrable: family 1 equals k at i = -1 and has its
+    vertex -1/2 + 1/k in [-3/2, -1/2); family 2 is (k^2/2)(i^2 + i) +
+    (k-1)/2 >= (k-1)/2 >= k; the tests check the sporadic rows of k = -3,
+    -4, -5.  An exact lambda, or that of a multiple root, still goes to the
+    table; a float lambda at a simple root is reported, never rounded.
+    """
     if k >= 0:
         raise PolarError("the polar classification applies to negative degrees only")
     if not U.is_real():
@@ -141,20 +145,13 @@ def analyze_polar(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> PolarVer
                             note="rotation-invariant potential; the angular momentum "
                                  "is a first integral")
     theta0, z0, m = select_extremum(U)
-    point = eigenvalue_verdict(k, eigenvalue_at(U, k, z0), k5_variant)
+    lam = eigenvalue_at(U, k, z0)
     if m > 1:
-        classification = MULTIPLE_POINT
-        note = ("U''(theta0) = 0: multiple Darboux point; only the "
-                "rotation-invariant potential is integrable with one")
-    elif point.status == ST_INADMISSIBLE:
-        classification = NON_INTEGRABLE
-        note = ("Hessian eigenvalue at the extremal Darboux point is not in the "
-                "admissibility table")
-    elif point.status == ST_ADMISSIBLE:
-        # cannot happen for k < 0, k != -2 (the only admissible value <= k is k)
-        classification = INDETERMINATE
-        note = "admissible eigenvalue below k: unexpected for negative degree"
-    else:
-        classification = INDETERMINATE
-        note = "eigenvalue is not recognizably rational; table membership undecided"
-    return PolarVerdict(classification, k, theta0=theta0, point=point, note=note)
+        return PolarVerdict(MULTIPLE_POINT, k, theta0, eigenvalue_verdict(k, lam, k5_variant),
+                            "U''(theta0) = 0: multiple Darboux point; only the "
+                            "rotation-invariant potential is integrable with one")
+    point = (eigenvalue_verdict(k, lam, k5_variant) if isinstance(lam, GaussianRational) else
+             PointVerdict(ST_INADMISSIBLE, lam=lam, reason="lambda < k at a simple extremum of U"))
+    return PolarVerdict(NON_INTEGRABLE, k, theta0, point,
+                        "Hessian eigenvalue at the extremal Darboux point is not in the "
+                        "admissibility table")

@@ -164,6 +164,19 @@ def _dict_mul(a: dict, b: dict) -> dict:
 _UNIT = HomoPoly(0, {(0, 0): 1})  # the denominator of a polynomial
 
 
+def _lowest_terms(num: HomoPoly, den: HomoPoly) -> tuple:
+    """num and den divided by q1^v g^: g^ homogenises g = gcd(num(1, s),
+    den(1, s)), and v is the smaller degree that either loses on q1 = 1."""
+    p, q = num.restrict_line(), den.restrict_line()
+    g = p.gcd(q)
+    cut = min(num.degree - p.degree, den.degree - q.degree) + g.degree  # v + deg g
+    if not cut:
+        return num, den
+    return tuple(HomoPoly(P.degree - cut, {(P.degree - cut - j, j): c
+                                           for j, c in enumerate((f // g).coeffs)})
+                 for P, f in ((num, p), (den, q)))
+
+
 # -- the angular part of the polar kind ---------------------------------
 
 class TrigPoly:
@@ -225,6 +238,10 @@ class TrigPoly:
 
     def is_real(self) -> bool:
         return all(self.coeffs.get(-j, _ZERO) == v.conjugate() for j, v in self.coeffs.items())
+
+    def norm1(self) -> float:
+        """sum |c_j| >= max |T|, the scale for float tolerances on T."""
+        return sum(abs(v) for v in self.coeffs.values())
 
     def max_frequency(self) -> int:
         return max((abs(j) for j in self.coeffs), default=0)
@@ -289,10 +306,15 @@ class Potential:
 
     @staticmethod
     def rational(num: HomoPoly, den: HomoPoly) -> "Potential":
+        """num/den, in lowest terms when exact; a constant den gives a polynomial."""
         if den.is_zero():
             raise PotentialError("zero denominator")
         if num.is_zero():
             raise PotentialError("zero potential")
+        if num.exact and den.exact and num.degree and den.degree:
+            num, den = _lowest_terms(num, den)
+        if den.degree == 0 and den != _UNIT:
+            num, den = num.scale(1 / den.terms[(0, 0)]), _UNIT
         return Potential(degree=num.degree - den.degree, num=num, den=den)
 
     @staticmethod

@@ -9,7 +9,7 @@ Overall verdicts:
 * non_integrable_by_morales_ramis - some Darboux point carries an
   eigenvalue outside the table, or a multiple Darboux point exists on a
   potential that is not rotation-invariant (uniqueness of the radial
-  case).
+  case), or V = r^k U(theta) has k < 0, k != -2 (`polar.analyze_polar`).
 * multiple_point_radial_candidate - the rotation-invariant potential:
   a continuum of multiple Darboux points, integrable via the angular
   momentum.
@@ -117,7 +117,7 @@ def _fmt_point(c) -> str:
 
 def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
     """The full pipeline: parse, locate Darboux points, classify, test the
-    table, aggregate."""
+    table (or, for r^k U with k < 0, the extremum of U), aggregate."""
     started = time.perf_counter()
     if isinstance(source, Potential):
         V = source
@@ -151,6 +151,12 @@ def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
         verdict = NON_INTEGRABLE
         notes.append("multiple Darboux point on a non-radial potential: only the "
                      "rotation-invariant potential admits one while integrable")
+    elif V.U is not None and V.degree < 0 and V.degree != -2:
+        # the theorem of polar.analyze_polar; U is not constant here, and
+        # with no multiple point its extremum needs no root to be known simple
+        verdict = NON_INTEGRABLE
+        notes.append("no Darboux point is multiple, so the extremum of U is simple: "
+                     "lambda < k there, and no table value lies below k")
     elif any_indeterminate:
         verdict = INDETERMINATE
     else:

@@ -449,8 +449,8 @@ def test_cli_polar_analyze_is_golden(capsys):
     # theorem decides and the report carries no table block
     ("multiple.json", "5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)", "-3", "--json"),
     ("multiple.txt", "5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)", "-3", None),
-    # an irrational extremum angle: a float lambda with no small rational
-    ("indeterminate.json", "1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)", "-3", "--json"),
+    # an irrational extremum angle: a float lambda < k, reported as it is
+    ("float_lambda.json", "1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)", "-3", "--json"),
     ("radial.json", "5", "-3", "--json"),
     ("degree_minus_two.json", "1 + 1/10*cos(2*theta)", "-2", "--json"),
 ])

@@ -13,7 +13,8 @@ import homopot.potential as potential_module
 from homopot.darboux import (DarbouxError, classify, direction_polynomial,
                              find_darboux_points, normalize)
 from homopot.parse import parse_potential
-from homopot.potential import HomoPoly, Potential, PotentialError, jet_at, transform
+from homopot.potential import (HomoPoly, Potential, PotentialError, jet_at,
+                               potential_from_json, transform)
 from homopot.report import NON_INTEGRABLE, RADIAL_CANDIDATE, analyze
 from homopot.scalars import GaussianRational, gr, to_complex
 from homopot.upoly import UPoly
@@ -434,3 +435,34 @@ def test_vertical_direction_multiplicity(text, m):
     p = next(p for p in find_darboux_points(V).points if p.c[0] == 0)
     assert p.direction_multiplicity == m
     assert p.multiple and p.spectrum[1] == gr(V.degree)
+
+
+def _points(report):
+    return [(p.c, p.spectrum[1]) for p in report.darboux.points]
+
+
+def test_a_common_factor_hides_no_darboux_point():
+    # q1 + q2 divides q1^4 - q2^4: the direction (1, -1) is no pole of V
+    reduced = analyze("(q1^4 - q2^4)/(q1+q2)")
+    expanded = analyze("(q1-q2)*(q1^2+q2^2)")
+    assert reduced.potential == expanded.potential and reduced.potential.kind == "polynomial"
+    assert reduced.verdict == expanded.verdict == NON_INTEGRABLE
+    assert ((gr(Fraction(1, 2)), gr(Fraction(-1, 2))), gr(2)) in _points(reduced)
+    assert _points(reduced) == _points(expanded)
+
+
+def test_lowest_terms_of_a_json_quotient():
+    # the parser does not see a JSON quotient: q1 divides both parts, and
+    # the direction (0, 1) must survive it
+    q1_times = {"kind": "rational", "degree": 3,
+                "num": {"degree": 5, "terms": {"5,0": "1", "1,4": "-1"}},
+                "den": {"degree": 2, "terms": {"1,1": "1"}}}
+    V = potential_from_json(q1_times)
+    W = parse_potential("(q1^4 - q2^4)/q2")
+    assert V == W
+    assert analyze(V).n_points == analyze(W).n_points == 5
+    constant_den = {"kind": "rational", "degree": 3,
+                    "num": {"degree": 3, "terms": {"3,0": "2", "0,3": "4"}},
+                    "den": {"degree": 0, "terms": {"0,0": "2"}}}
+    V = potential_from_json(constant_den)
+    assert V.kind == "polynomial" and V == parse_potential("q1^3 + 2*q2^3")

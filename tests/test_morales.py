@@ -111,9 +111,10 @@ def test_reconstruct_rational():
 
 
 def test_gap_scan_monotone_selection():
-    # the negative-degree gap: the only admissible lambda <= k is k itself
-    for k in (-1, -3, -4, -5, -6, -7):
-        assert morales.eigenvalue_gap_scan(k, max_den=100, max_num=10**4) == [Q(k)]
+    # the negative-degree gap: the only admissible lambda <= k is k itself,
+    # at every denominator (the k = -3 sporadic rows c and d have 200)
+    for k in (-1, *range(-400, -2)):
+        assert set(morales.admissible_values_at_most(k, Q(k))) == {Q(k)}, k
 
 
 def test_denominator_divisibility_lemma():

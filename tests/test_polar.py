@@ -9,7 +9,8 @@ import pytest
 from homopot import polar
 from homopot.darboux import classify, find_darboux_points
 from homopot.parse import parse_potential, parse_trig_poly
-from homopot.potential import TrigPoly
+from homopot.potential import Potential, TrigPoly
+from homopot.report import NON_INTEGRABLE as REPORT_NON_INTEGRABLE, analyze
 from homopot.scalars import gr, to_complex
 
 
@@ -116,12 +117,56 @@ def test_multiple_point_detection():
     assert v.point.lam == Q(-3)
 
 
-def test_indeterminate_gate():
-    # irrational extremum angle, eigenvalue not a small rational
+def test_float_lambda_at_simple_extremum():
+    # irrational extremum angle: a float lambda < k decides without the table
     U = parse_trig_poly("1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)")
     v = polar.analyze_polar(U, -3)
-    assert v.classification == polar.INDETERMINATE
-    assert not v.point.lam_exact
+    assert v.classification == polar.NON_INTEGRABLE
+    assert not v.point.lam_exact and v.point.lam < -3 and v.point.morales is None
+    assert v.point.status == "inadmissible"
+
+
+def test_near_radial_float_lambda_is_never_rounded():
+    # every float lambda is -3 +- 1e-10, which rounds to the admissible -3
+    text = "1 + 1/100000000000*cos(3*theta) + 1/200000000000*sin(2*theta)"
+    report = analyze(f"r^-3*({text})")
+    assert report.verdict == REPORT_NON_INTEGRABLE
+    assert any("no table value lies below k" in note for note in report.notes)
+    out = polar.analyze_polar(parse_trig_poly(text), -3).to_json()
+    assert out["classification"] == polar.NON_INTEGRABLE
+    assert out["lambda_exact"] is False and isinstance(out["lambda"], float)
+    assert out["lambda"] < -3 and "morales" not in out
+
+
+def test_analyze_and_analyze_polar_agree_on_negative_degree(rng):
+    # the extremum theorem: a real non-constant U with k < 0, k != -2 is
+    # not integrable, whatever the table makes of the other points
+    for _ in range(25):
+        U = TrigPoly(Q(rng.randint(-3, 3)),
+                     cos={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                          for m in rng.sample([1, 2, 3, 4], k=2)},
+                     sin={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                          for m in rng.sample([1, 2, 3], k=1)})
+        if U.is_constant():
+            continue
+        for k in (-1, -3, -4, -5, -7):
+            assert analyze(Potential.polar(U, k)).verdict == REPORT_NON_INTEGRABLE, (U, k)
+            v = polar.analyze_polar(U, k)
+            assert v.classification in (polar.NON_INTEGRABLE, polar.MULTIPLE_POINT), (U, k)
+
+
+@pytest.mark.parametrize("scale", ["1/10^13", "1", "10^20"])
+def test_polar_points_ignore_the_scale_of_U(scale):
+    # the critical residual and the zero test of U(theta0) are relative to U
+    U = parse_trig_poly("2 - cos(2*theta) + 1/10*sin(3*theta)")
+    scaled = parse_trig_poly(f"{scale}*(2 - cos(2*theta) + 1/10*sin(3*theta))")
+    lams = [[complex(p.spectrum[1]) for p in find_darboux_points(Potential.polar(T, -3)).points]
+            for T in (U, scaled)]
+    assert len(lams[0]) == len(lams[1]) == 4
+    assert all(abs(a - b) <= 1e-14 * abs(a) for a, b in zip(*lams))
+    assert analyze(Potential.polar(scaled, -3)).verdict == REPORT_NON_INTEGRABLE
+    assert polar.analyze_polar(scaled, -3).theta0 == \
+        pytest.approx(polar.analyze_polar(U, -3).theta0, abs=1e-12)
 
 
 def _angle(p):
