@@ -126,18 +126,19 @@ def _check_analysis_degree(V: Potential):
 def _line_numerators(V: Potential):
     """(g1, g2, q, e): grad V(1, s) = (g1(s), g2(s)) / q(s)^2.
 
-    For V = P/Q, q = Q(1, s), e = deg Q and g_a = (P_a Q - P Q_a)(1, s);
-    a polynomial is P/1.  Before the restriction to (1, s), g1 and g2 are
-    homogeneous of degree n - 1 with n = k + 2e.
+    For V = P/Q, p = P(1, s), q = Q(1, s) and e = deg Q; a polynomial is
+    P/1.  By Euler's identity P_1 + s P_2 = deg P p on the line, and
+    P_2(1, s) = p', so g2 = p' q - p q' and g1 = k p q - s g2.  Before
+    the restriction to (1, s), g1 and g2 are homogeneous of degree n - 1
+    with n = k + 2e.
     """
     if V.U is not None:
         raise DarbouxError("direction polynomial requires a polynomial or rational potential")
     _check_analysis_degree(V)
-    P, Q = V.num, V.den
-    p, q = P.restrict_line(), Q.restrict_line()
-    g1, g2 = (P.partial(a).restrict_line() * q - p * Q.partial(a).restrict_line()
-              for a in (0, 1))
-    return g1, g2, q, Q.degree
+    p, q = V.num.restrict_line(), V.den.restrict_line()
+    g2 = p.derivative() * q - p * q.derivative()
+    s_g2 = UPoly([_ZERO, *g2.coeffs])  # s g2 as a shift, not a product
+    return p * q * V.degree - s_g2, g2, q, V.den.degree
 
 
 def direction_polynomial(V: Potential) -> UPoly:
@@ -228,14 +229,14 @@ def _newton_point(k: int, W: UPoly, dW: UPoly, q: UPoly, g1: UPoly, s: complex,
 
 
 def _radial_coefficient(V: Potential):
-    """a with V = a (q1^2+q2^2)^(k/2), for a rotation-invariant V: the value
-    of V at the first point ((1-t^2), 2t)/(1+t^2), t = 0, 1, 2, ..., of the
-    unit circle where its denominator does not vanish."""
-    for t in count():
-        x, y = Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)
-        den = V.den.evaluate(x, y)
-        if not den.is_zero():
-            return V.num.evaluate(x, y) / den
+    """a with V = a (q1^2+q2^2)^(k/2) for a rotation-invariant V = P/Q:
+    p(s) / (q(s) (1+s^2)^(k/2)) at the first s = 0, 1, 2, ... with
+    q(s) != 0.  k is even, since r^k = V/a is rational."""
+    p, q, k = V.num.line, V.den.line, V.degree
+    for s in count():
+        qs = q(s)
+        if not qs.is_zero():
+            return p(s) / (qs * Fraction(1 + s * s) ** (k // 2))
 
 
 def find_darboux_points(V: Potential) -> DarbouxSet:

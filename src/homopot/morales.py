@@ -14,7 +14,8 @@ and reads (4 + 6i)^2; both variants ship, selected by k5_variant
 against the table, for `analyze`, `batch` and `polar-analyze` alike: an
 exact lambda goes to the table, a float one is inadmissible when it is
 clearly non-real, else it is reconstructed as a small-denominator
-rational for the table or stays indeterminate.
+rational for the table or stays indeterminate.  For |k| = 2 the all-of-C
+row admits every float or non-real lambda without either test.
 """
 
 from __future__ import annotations
@@ -231,17 +232,21 @@ class PointVerdict:
 
 def eigenvalue_verdict(k: int, lam, k5_variant: str = K5_PRINTED) -> PointVerdict:
     """Decide the Hessian eigenvalue lam of a degree-k potential against the
-    table: lam is a GaussianRational when exact, else a float or complex."""
-    if isinstance(lam, GaussianRational):
-        if not lam.is_real():
-            return PointVerdict(ST_INADMISSIBLE,
-                                reason="non-real Hessian eigenvalue (table rows are real)")
+    table: lam is a GaussianRational when exact, else a float or complex.
+
+    For |k| = 2 the all-of-C row admits a float or non-real lam as it is,
+    never rounded; a non-real lam is not reported."""
+    z = None if isinstance(lam, GaussianRational) else complex(lam)
+    real = lam.is_real() if z is None else abs(z.imag) <= 1e-8 * max(1.0, abs(z))
+    if abs(k) == 2 and (z is not None or not real):
+        return PointVerdict(ST_ADMISSIBLE, lam=z.real if real else None,
+                            reason=f"the k={k} row admits all of C")
+    if not real:
+        return PointVerdict(ST_INADMISSIBLE,
+                            reason="non-real Hessian eigenvalue (table rows are real)")
+    if z is None:
         lam_q, reason = lam.re, "exact rational eigenvalue"
     else:
-        z = complex(lam)
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-            return PointVerdict(ST_INADMISSIBLE,
-                                reason="non-real Hessian eigenvalue (table rows are real)")
         lam_q = reconstruct_rational(z.real, MAX_DENOMINATOR)
         if lam_q is None:
             return PointVerdict(ST_INDETERMINATE, lam=z.real,

@@ -56,12 +56,6 @@ class OrbitParams:
         if self.phi0 <= 0:
             raise ValueError("initial phi must be positive")
 
-    @property
-    def alpha(self) -> int:
-        """Energy normalization in the orbit equation; -k makes V(c) = 1
-        turn the conserved quantity into exactly 1."""
-        return -self.k
-
 
 def first_integral(k: int, k0: int, phi, phidot):
     """The conserved quantity; equals 1 for orbit-normalized data."""

@@ -35,8 +35,7 @@ import re as _re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .potential import (HomoPoly, Potential, PotentialError, TrigPoly, _dict_mul,
-                        POLYNOMIAL, RATIONAL, RADIAL)
+from .potential import HomoPoly, Potential, PotentialError, TrigPoly, POLYNOMIAL, RATIONAL, RADIAL
 from .scalars import GaussianRational, power
 
 MAX_POWER_TERMS = 128  # a larger expansion of a power of a sum is refused
@@ -84,6 +83,16 @@ def _number(text: str, pos: int):
 # -- one ring for every grammar ------------------------------------------
 
 _ONE = {(0, 0): GaussianRational(1)}
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    """The product of two sparse Laurent polynomials {(a, b): coefficient}."""
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            key, p = (i1 + i2, j1 + j2), v1 * v2
+            out[key] = out[key] + p if key in out else p
+    return out
 
 
 class _RatFunc:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .morales import K5_PRINTED, ST_INADMISSIBLE, PointVerdict, eigenvalue_verdict
 from .potential import PotentialError, TrigPoly
-from .scalars import GaussianRational, to_complex
+from .scalars import GaussianRational, is_exact, to_complex
 from .upoly import roots
 
 RADIAL_INTEGRABLE = "radial_integrable"
@@ -48,6 +48,8 @@ class CriticalPoint(NamedTuple):
 def critical_points(U: TrigPoly) -> list:
     """The critical points of U in [0, 2pi), sorted by angle: the roots z
     of z^M U' on the unit circle, exactly on it when z is in Q(i)."""
+    if not is_exact(U.coeffs.values()):
+        raise PolarError("critical points require exact coefficients")
     if not U.is_real():
         raise PolarError("U must have real coefficients")
     dU = U.derivative()
@@ -83,19 +85,24 @@ def eigenvalue_at(U: TrigPoly, k: int, z):
 
 def select_extremum(U: TrigPoly) -> CriticalPoint:
     """The critical point theta0 by the three-case sign rule; ties break to
-    the smallest angle.
+    the smallest angle.  Ties are within 1e-12 max |U - c0| on the values
+    of U - c0, the part of U that varies, whatever the size of c0.
 
     Guarantees U(theta0) != 0, U'(theta0) = 0 and U''(theta0)/U(theta0) <= 0.
     """
     if U.is_constant():
         raise PolarError("U is constant (radial case)")
     crits = critical_points(U)
-    values = [U.evaluate(p.theta) for p in crits]
-    vmax, vmin = max(values), min(values)
+    rest = TrigPoly._laurent({j: v for j, v in U.coeffs.items() if j})
+    values = [rest.evaluate(p.theta) for p in crits]
+    wmax, wmin = max(values), min(values)
+    c0 = to_complex(U.const).real
+    vmax, vmin = c0 + wmax, c0 + wmin
     tol = 1e-12 * max(abs(vmax), abs(vmin))  # relative: the rule ignores the scale of U
     # max U >= min U >= 0 or max U > 0 > min U: the maximum; 0 >= max U: the minimum
-    target = vmax if vmin >= -tol or vmax >= tol else vmin
-    return next(p for p, v in zip(crits, values) if abs(v - target) <= tol)
+    target = wmax if vmin >= -tol or vmax >= tol else wmin
+    tie = 1e-12 * max(abs(wmax), abs(wmin))
+    return next(p for p, v in zip(crits, values) if abs(v - target) <= tie)
 
 
 @dataclass

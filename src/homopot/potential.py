@@ -5,6 +5,11 @@ A potential of degree k is stored in one of two shapes:
 * Cartesian   V = P/Q with P, Q homogeneous, deg P - deg Q = k
 * polar       V = r^k U(theta), U a trigonometric polynomial
 
+A form P of degree n is stored as its degree and its line restriction
+p(s) = P(1, s) (`HomoPoly.line`, a `UPoly`), since P = q1^n p(q2/q1):
+scaling, a linear substitution, lowest terms and the jet all work on p,
+and the Darboux layer reads V = P/Q only through p and q = Q(1, s).
+
 Four kind names are read off that data, never stored: `polynomial` is
 P/1 (Q the constant 1, `_UNIT`), `rational` any other P/Q, `radial` a
 constant U, i.e. a (q1^2+q2^2)^(k/2), and `polar` any other U.  Only the
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import GaussianRational, is_exact, is_finite, scalar, scalar_is_zero, to_complex
+from .scalars import (GaussianRational, is_exact, is_finite, power, scalar, scalar_is_zero,
+                      to_complex)
 from .series import Jet2, TaylorJet
 from .upoly import UPoly
 
@@ -56,89 +62,75 @@ _I = GaussianRational(0, 1)
 
 
 class HomoPoly:
-    """Homogeneous bivariate polynomial: exponent pairs -> coefficients.
+    """Homogeneous form P of degree n, stored as `line` = p(s) = P(1, s):
+    the s^j coefficient of p is that of q1^(n-j) q2^j.  The constructor
+    takes exponent pairs (i, j), i + j = n; `terms` is their view."""
 
-    Every stored pair (i, j) satisfies i + j = degree and carries a
-    nonzero coefficient.
-    """
-
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "line")
 
     def __init__(self, degree: int, terms: dict):
         self.degree = int(degree)
-        clean = {}
+        cs = [_ZERO] * (self.degree + 1)
         for (i, j), v in terms.items():
             if i < 0 or j < 0 or i + j != self.degree:
                 raise PotentialError(
                     f"exponent pair ({i},{j}) does not match degree {self.degree}")
             v = scalar(v)
             if v:
-                clean[(i, j)] = v
-        self.terms = clean
+                cs[j] = v
+        self.line = UPoly(cs)
+
+    @classmethod
+    def _of_line(cls, degree: int, line: UPoly) -> "HomoPoly":
+        P = cls.__new__(cls)
+        P.degree, P.line = degree, line
+        return P
+
+    @property
+    def terms(self) -> dict:
+        n = self.degree
+        return {(n - j, j): c for j, c in enumerate(self.line.coeffs) if c}
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.terms.values())
+        return is_exact(self.line.coeffs)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.line.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, HomoPoly) and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.line.coeffs == other.line.coeffs)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
-    def evaluate(self, x, y):
-        x, y = scalar(x), scalar(y)
-        acc = _ZERO
-        for (i, j), v in self.terms.items():
-            acc = acc + v * x**i * y**j
-        return acc
-
-    def partial(self, axis: int) -> "HomoPoly":
-        out = {}
-        for (i, j), v in self.terms.items():
-            e = (i, j)[axis]
-            if e:
-                out[(i - 1, j) if axis == 0 else (i, j - 1)] = v * e
-        return HomoPoly(max(self.degree - 1, 0), out)
+        return hash((self.degree, tuple(self.line.coeffs)))
 
     def scale(self, s) -> "HomoPoly":
-        s = scalar(s)
-        return HomoPoly(self.degree, {k: v * s for k, v in self.terms.items()})
+        return HomoPoly._of_line(self.degree, self.line * scalar(s))
 
     def substitute_linear(self, R) -> "HomoPoly":
-        """V(R q) for a 2x2 matrix R; stays homogeneous of the same degree."""
-        lin1, lin2 = ({(1, 0): scalar(row[0]), (0, 1): scalar(row[1])} for row in R)
-        out = {}
-        for (i, j), v in self.terms.items():
-            mono = {(0, 0): _ONE}
-            for _ in range(i):
-                mono = _dict_mul(mono, lin1)
-            for _ in range(j):
-                mono = _dict_mul(mono, lin2)
-            for key, coef in mono.items():
-                p = v * coef
-                out[key] = out[key] + p if key in out else p
-        return HomoPoly(self.degree, out)
+        """V(R q) for a 2x2 matrix R: on the line, sum_j c_j l1^(n-j) l2^j
+        with l1 = R00 + R01 s and l2 = R10 + R11 s."""
+        n, one = self.degree, UPoly([_ONE])
+        l1, l2 = (UPoly([scalar(row[0]), scalar(row[1])]) for row in R)
+        out = UPoly([])
+        for j, c in enumerate(self.line.coeffs):
+            if c:
+                out = out + power(l1, n - j, one) * power(l2, j, one) * c
+        return HomoPoly._of_line(n, out)
 
-    def restrict_line(self) -> "object":
-        """p(s) = V(1, s) as a univariate polynomial (exact kinds only)."""
+    def restrict_line(self) -> UPoly:
+        """p(s) = V(1, s) (exact kinds only)."""
         if not self.exact:
             raise PotentialError("line restriction requires exact coefficients")
-        return UPoly([self.terms.get((self.degree - j, j), _ZERO) for j in range(self.degree + 1)])
+        return self.line
 
     def jet(self, c, order: int) -> Jet2:
-        jx = Jet2.variable(0, c[0], order)
-        jy = Jet2.variable(1, c[1], order)
-        xpow = _jet_powers(jx, max(i for i, _ in self.terms))
-        ypow = _jet_powers(jy, max(j for _, j in self.terms))
-        acc = Jet2.constant(0, order)
-        for (i, j), v in self.terms.items():
-            acc = acc + (xpow[i] * ypow[j]).scale(v)
-        return acc
+        n, cs = self.degree, self.line.coeffs
+        xpow = _jet_powers(Jet2.variable(0, c[0], order), n)
+        ypow = _jet_powers(Jet2.variable(1, c[1], order), len(cs) - 1)
+        return sum(((xpow[n - j] * ypow[j]).scale(v) for j, v in enumerate(cs) if v),
+                   Jet2.constant(0, order))
 
     def __repr__(self):
         return f"HomoPoly(degree={self.degree}, terms={len(self.terms)}, exact={self.exact})"
@@ -152,29 +144,18 @@ def _jet_powers(base: Jet2, n: int) -> list:
     return out
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            key, p = (i1 + i2, j1 + j2), v1 * v2
-            out[key] = out[key] + p if key in out else p
-    return out
-
-
 _UNIT = HomoPoly(0, {(0, 0): 1})  # the denominator of a polynomial
 
 
 def _lowest_terms(num: HomoPoly, den: HomoPoly) -> tuple:
     """num and den divided by q1^v g^: g^ homogenises g = gcd(num(1, s),
     den(1, s)), and v is the smaller degree that either loses on q1 = 1."""
-    p, q = num.restrict_line(), den.restrict_line()
+    p, q = num.line, den.line
     g = p.gcd(q)
     cut = min(num.degree - p.degree, den.degree - q.degree) + g.degree  # v + deg g
     if not cut:
         return num, den
-    return tuple(HomoPoly(P.degree - cut, {(P.degree - cut - j, j): c
-                                           for j, c in enumerate((f // g).coeffs)})
-                 for P, f in ((num, p), (den, q)))
+    return tuple(HomoPoly._of_line(P.degree - cut, P.line // g) for P in (num, den))
 
 
 # -- the angular part of the polar kind ---------------------------------
@@ -314,7 +295,7 @@ class Potential:
         if num.exact and den.exact and num.degree and den.degree:
             num, den = _lowest_terms(num, den)
         if den.degree == 0 and den != _UNIT:
-            num, den = num.scale(1 / den.terms[(0, 0)]), _UNIT
+            num, den = num.scale(1 / den.line.coeffs[0]), _UNIT
         return Potential(degree=num.degree - den.degree, num=num, den=den)
 
     @staticmethod

@@ -1,4 +1,7 @@
-"""Univariate polynomials over Q(i) and their roots with multiplicities.
+"""Univariate polynomials over the scalars (see scalars.py), and the roots
+of exact ones with multiplicities: `gcd`, `monic`, `divmod` and `roots`
+need Q(i) coefficients, while sums, products, derivatives and evaluation
+also take complex ones.
 
 ``roots`` takes one path.  Yun's square-free decomposition splits p
 exactly into factors f_m whose roots have multiplicity m; a p whose image
@@ -6,9 +9,11 @@ mod the prime P = 2^61 - 31 is coprime to its derivative is certified
 square-free there and skips Yun.  Aberth-Ehrlich
 iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
 is u/q with q dividing the leading coefficient L of f_m scaled to
-Gaussian integers, so each float root z has the one candidate
-round(L*z)/L.  The candidate becomes the exact root when f_m vanishes
-there exactly; otherwise z stays a float.  Aberth runs on f_m(2^e t)
+Gaussian integers, so each float root z has the candidate round(L*z)/L
+and, should L*z be too far off for that, the continued-fraction
+convergents of its parts whose denominators divide L.  A candidate
+becomes the exact root when f_m vanishes there exactly; otherwise z
+stays a float.  Aberth runs on f_m(2^e t)
 scaled to roots of modulus about 1, so coefficients far beyond double
 precision do not overflow it.  The real and the purely imaginary roots
 of a real f_m are returned exactly on their axis.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, ldexp
+from math import floor, lcm, ldexp
 
 from .scalars import GaussianRational, to_complex
 
@@ -33,8 +38,9 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [c if isinstance(c, (GaussianRational, complex)) else GaussianRational(c)
+              for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
 
@@ -57,14 +63,10 @@ class UPoly:
         return UPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
     def __add__(self, other):
-        other = other if isinstance(other, UPoly) else UPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else GaussianRational(0)
-            b = other.coeffs[i] if i < len(other.coeffs) else GaussianRational(0)
-            out.append(a + b)
-        return UPoly(out)
+        a, b = self.coeffs, (other if isinstance(other, UPoly) else UPoly([other])).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UPoly([x + y for x, y in zip(a, b)] + a[len(b):])
 
     def __neg__(self):
         return UPoly([-c for c in self.coeffs])
@@ -74,8 +76,8 @@ class UPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            g = GaussianRational.coerce(other) if not isinstance(other, GaussianRational) else other
+        if not isinstance(other, UPoly):
+            g = other if isinstance(other, (GaussianRational, complex)) else GaussianRational(other)
             return UPoly([c * g for c in self.coeffs])
         out = [GaussianRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
@@ -329,33 +331,71 @@ def _real_factor_roots(f: UPoly):
     return _unpaired_onto(zs, complex.conjugate, lambda z: complex(z.real, 0.0))
 
 
-def _exact_candidate(f: UPoly, lead: int, f_mod_p, z: complex):
-    """The one Q(i) point round(lead*z)/lead when f vanishes there exactly.
+_CF_MAX_DEN = 10**7  # beyond it 1/(2q^2) is below double precision near 1
 
-    A root u/q of f in Q(i) has q | lead, so lead*z lies near a Gaussian
-    integer; the test on lead*z, in integers so that no lead overflows,
-    only spares hopeless candidates exact work.  It can reject nothing
-    once lead passes 2^53, so f_mod_p, the images of f's coefficients in
-    F_P (None when P divides lead or a denominator), is evaluated at the
-    candidate first: a nonzero value proves it is not a root.
-    """
-    if not cmath.isfinite(z):
-        return None
+
+def _convergent(x: float, lead: int):
+    """(u, q): the last continued-fraction convergent u/q of x with q | lead,
+    the expansion taken in floats while q <= _CF_MAX_DEN."""
+    u, u0, q, q0 = 1, 0, 0, 1
+    while True:  # the first convergent, floor(x)/1, always qualifies
+        a = floor(x)
+        u, u0, q, q0 = a * u + u0, u, a * q + q0, q
+        if q > _CF_MAX_DEN:
+            return best
+        if lead % q == 0:
+            best = u, q
+        x -= a
+        if x * _CF_MAX_DEN < 1:  # the next partial quotient puts q past the cap
+            return best
+        x = 1 / x
+
+
+def _candidates(lead: int, z: complex):
+    """Points (re + im i)/den that may be the Q(i) root z stands for.
+
+    A root u/q has q | lead, so lead*z lies near a Gaussian integer: the
+    first candidate is round(lead*z)/lead, unless lead*z is hopelessly far
+    from one (tested in integers, so that no lead overflows).  Once
+    lead*|z - u/q| passes 1/2 that candidate misses, so the second takes
+    for each part of z its last convergent with a denominator dividing
+    lead: by Legendre's theorem u/q is a convergent of z whenever
+    |z - u/q| < 1/(2q^2)."""
     (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     m = max(p, q)  # p and q are powers of two: lead*z = (a + b i) / m
     a, b = a * (m // p) * lead, b * (m // q) * lead
     near_re, near_im = (2 * a + m) // (2 * m), (2 * b + m) // (2 * m)
     dr, di = a - near_re * m, b - near_im * m
-    if 10**12 * (dr * dr + di * di) > max(m * m, a * a + b * b):
+    if 10**12 * (dr * dr + di * di) <= max(m * m, a * a + b * b):
+        yield near_re, near_im, lead
+    tol = 1e-9 * max(1.0, abs(z.real), abs(z.imag))
+    if lead > 0.5 / tol:  # else a convergent within tol of z is the first candidate
+        (u, q), (v, r) = _convergent(z.real, lead), _convergent(z.imag, lead)
+        if abs(z.real - u / q) <= tol and abs(z.imag - v / r) <= tol:
+            den = lcm(q, r)
+            yield u * (den // q), v * (den // r), den
+
+
+def _exact_candidate(f: UPoly, lead: int, f_mod_p, z: complex):
+    """The first of the `_candidates` of z where f vanishes exactly, or None.
+
+    f_mod_p, the images of f's coefficients in F_P (None when P divides
+    lead or a denominator), is evaluated at each candidate first: a
+    nonzero value proves it is not a root, where the test on lead*z can
+    reject nothing once lead passes 2^53."""
+    if not cmath.isfinite(z):
         return None
-    if f_mod_p is not None:
-        x, acc = (near_re + I_MOD_P * near_im) * pow(lead, -1, P) % P, 0
-        for c in reversed(f_mod_p):
-            acc = (acc * x + c) % P
-        if acc:
-            return None
-    cand = GaussianRational(Fraction(near_re, lead), Fraction(near_im, lead))
-    return cand if f(cand).is_zero() else None
+    for re, im, den in _candidates(lead, z):
+        if f_mod_p is not None:
+            x, acc = (re + I_MOD_P * im) * pow(den, -1, P) % P, 0
+            for c in reversed(f_mod_p):
+                acc = (acc * x + c) % P
+            if acc:
+                continue
+        cand = GaussianRational(Fraction(re, den), Fraction(im, den))
+        if f(cand).is_zero():
+            return cand
+    return None
 
 
 def roots(p: UPoly):

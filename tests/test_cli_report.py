@@ -158,6 +158,26 @@ def test_polar_points_on_exact_directions(capsys):
     assert all(pv["reason"] == "exact rational eigenvalue" for pv in js["points"])
 
 
+@pytest.mark.parametrize("text", [
+    "(q1+2*q2)/(q1^3+q2^3)",
+    "1/(q1^2+q1*q2+3*q2^2)",
+    "r^-2*(1 + 1/10*cos(3*theta) + 1/20*sin(2*theta))",
+])
+def test_degree_minus_two_admits_every_eigenvalue(text):
+    # (q1 p2 - q2 p1)^2/2 + (q1^2 + q2^2) V is a first integral at k = -2,
+    # and the table's all-of-C row takes a float or non-real lambda unrounded
+    rep = analyze(text)
+    assert rep.potential.degree == -2 and rep.verdict == PASSES
+    assert rep.n_points and not any(p.exact for p in rep.darboux.points)
+    for p, pv in zip(rep.darboux.points, rep.point_verdicts):
+        lam = complex(p.spectrum[1])
+        assert pv.status == "admissible" and pv.reason == "the k=-2 row admits all of C"
+        assert pv.morales is None
+        assert pv.lam == (lam.real if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam)) else None)
+    if text.startswith("(q1+2"):  # lambda ~ 2.40 +- 1.02i at the complex points
+        assert sum(pv.lam is None for pv in rep.point_verdicts) == 2
+
+
 def test_analyze_rejects_bad_degrees():
     from homopot.darboux import DarbouxError
     with pytest.raises(DarbouxError):

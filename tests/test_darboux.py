@@ -2,6 +2,7 @@
 normalization."""
 
 import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,11 +14,12 @@ import homopot.potential as potential_module
 from homopot.darboux import (DarbouxError, classify, direction_polynomial,
                              find_darboux_points, normalize)
 from homopot.parse import parse_potential
+from homopot.polar import PolarError
 from homopot.potential import (HomoPoly, Potential, PotentialError, jet_at,
                                potential_from_json, transform)
 from homopot.report import NON_INTEGRABLE, RADIAL_CANDIDATE, analyze
 from homopot.scalars import GaussianRational, gr, to_complex
-from homopot.upoly import UPoly
+from homopot.upoly import UPoly, roots
 
 from conftest import planted_potential
 
@@ -466,3 +468,29 @@ def test_lowest_terms_of_a_json_quotient():
                     "den": {"degree": 0, "terms": {"0,0": "2"}}}
     V = potential_from_json(constant_den)
     assert V.kind == "polynomial" and V == parse_potential("q1^3 + 2*q2^3")
+
+
+def test_inexact_potentials_raise_typed_errors():
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = ((c, -s), (s, c))
+    with pytest.raises(PolarError, match="exact coefficients"):
+        find_darboux_points(transform(parse_potential("r^-3*(1 + 1/10*cos(2*theta))"), R, 1))
+    with pytest.raises(PotentialError, match="line restriction requires exact coefficients"):
+        find_darboux_points(transform(parse_potential("q1^3 + 2*q2^3"), R, 1))
+
+
+DEGREE_16 = ("(4/3*q1 + 9/5*q2)*(-5/3*q1 + 5/4*q2)*(3/4*q1 + 8/5*q2)*(3*q1 + 8/3*q2)"
+             "*(2/3*q1 + 1/2*q2)*(8*q1 + 3/5*q2)*(-1/3*q1 + 9/5*q2)*(7/3*q1 + 9*q2)"
+             "*(-1*q1 + 5*q2)*(-7/4*q1 + 5/4*q2)*(5/3*q1 + 9*q2)*(0*q1 + 7/4*q2)"
+             "*(1*q1 + 4/5*q2)*(-2/3*q1 + 1/2*q2)*(1*q1 + 5/3*q2)*(-3*q1 + 9/5*q2)")
+
+
+def test_exact_direction_that_rounding_misses():
+    # W(4/3) = 0, but round(L*s)/L misses 4/3 for the float root s (L ~ 2.2e14);
+    # its continued-fraction convergent 4/3 does not
+    V = parse_potential(DEGREE_16)
+    W = direction_polynomial(V)
+    assert W(gr(Fraction(4, 3))).is_zero()
+    assert (gr(Fraction(4, 3)), 1) in [(r.value, r.multiplicity) for r in roots(W) if r.exact]
+    # grad V(1, 4/3) = 0: an exact direction with no finite Darboux point
+    assert analyze(V).darboux.degenerate_directions == [(gr(1), gr(Fraction(4, 3)))]

@@ -126,6 +126,19 @@ def test_float_lambda_at_simple_extremum():
     assert v.point.status == "inadmissible"
 
 
+def test_extremum_ties_only_within_the_part_of_U_that_varies():
+    # U - 1 is about 1e-14, so every critical value of U ties within
+    # 1e-12*max|U|; those of U - 1 are distinct (+-1.5e-15, +-1.06e-14, +-1.88e-14)
+    rest = "- 1/100000000000000*sin(3*theta) + 1/100000000000000*cos(theta)"
+    U, W = parse_trig_poly("1 " + rest), parse_trig_poly(rest)
+    theta0 = polar.select_extremum(U).theta
+    assert theta0 == pytest.approx(5.8104, abs=1e-4)
+    assert W.evaluate(theta0) == max(W.evaluate(p.theta) for p in polar.critical_points(U))
+    v = polar.analyze_polar(U, -3)
+    assert v.theta0 == theta0 and v.classification == polar.NON_INTEGRABLE
+    assert v.point.lam < -3
+
+
 def test_near_radial_float_lambda_is_never_rounded():
     # every float lambda is -3 +- 1e-10, which rounds to the admissible -3
     text = "1 + 1/100000000000*cos(3*theta) + 1/200000000000*sin(2*theta)"

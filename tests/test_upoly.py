@@ -9,7 +9,8 @@ from itertools import combinations
 from hypothesis import assume, given, settings, strategies as st
 
 from homopot.scalars import gr
-from homopot.upoly import P, UPoly, _square_free_mod_p, _yun, roots, square_free_factors
+from homopot.upoly import (P, UPoly, _exact_candidate, _mod_p, _square_free_mod_p, _yun, roots,
+                          square_free_factors)
 
 
 def s_minus(g) -> UPoly:
@@ -176,3 +177,15 @@ def test_prime_in_a_denominator_or_the_lead_skips_the_certificate():
         assert not _square_free_mod_p(w)
         assert [(g.coeffs, m) for g, m in square_free_factors(w)] == [
             (s_minus(gr(-1)).coeffs, 1), (f.monic().coeffs, 2)]
+
+
+def test_continued_fraction_candidate_where_rounding_misses():
+    # lead*|z - 4/3| is about 4, so round(lead*z)/lead is not 4/3; 3 | lead
+    f, lead = s_minus(gr(Fraction(4, 3))), 217816408260000
+    z = complex(1.333333333333352)
+    assert round(lead * Fraction(z.real)) != lead * Fraction(4, 3)
+    f_mod_p = [_mod_p(c) for c in f.coeffs]
+    assert _exact_candidate(f, lead, f_mod_p, z) == gr(Fraction(4, 3))
+    assert _exact_candidate(f, lead, None, z) == gr(Fraction(4, 3))
+    # 3 does not divide 2^40, so no convergent is 4/3: the root stays a float
+    assert _exact_candidate(f, 2**40, None, z) is None
