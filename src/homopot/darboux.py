@@ -38,7 +38,7 @@ from itertools import count
 from typing import Optional
 
 from .polar import critical_points, eigenvalue_at, value_at
-from .potential import (Potential, PotentialError, TrigPoly, jet_at, transform,
+from .potential import (POLYNOMIAL, Potential, PotentialError, TrigPoly, jet_at, transform,
                         rotation_to_axis)
 from .scalars import (GaussianRational, is_exact, is_finite, principal_root, scalar_is_zero,
                       to_complex)
@@ -46,7 +46,6 @@ from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
 MULTIPLE_DET_TOL = 1e-9  # float c in `classify` only
-_S = UPoly([0, 1])
 _ZERO, _ONE = GaussianRational(0), GaussianRational(1)
 
 
@@ -128,23 +127,31 @@ def _line_numerators(V: Potential):
 
     For V = P/Q, p = P(1, s), q = Q(1, s) and e = deg Q; a polynomial is
     P/1.  By Euler's identity P_1 + s P_2 = deg P p on the line, and
-    P_2(1, s) = p', so g2 = p' q - p q' and g1 = k p q - s g2.  Before
-    the restriction to (1, s), g1 and g2 are homogeneous of degree n - 1
+    P_2(1, s) = p', so g2 = p' q - p q' and g1 = k p q - s g2; for a
+    polynomial (q = 1) that is g2 = p' and g1 = k p - s p'.  Before the
+    restriction to (1, s), g1 and g2 are homogeneous of degree n - 1
     with n = k + 2e.
     """
     if V.U is not None:
         raise DarbouxError("direction polynomial requires a polynomial or rational potential")
     _check_analysis_degree(V)
     p, q = V.num.restrict_line(), V.den.restrict_line()
-    g2 = p.derivative() * q - p * q.derivative()
-    s_g2 = UPoly([_ZERO, *g2.coeffs])  # s g2 as a shift, not a product
-    return p * q * V.degree - s_g2, g2, q, V.den.degree
+    if V.kind == POLYNOMIAL:
+        g2, kpq = p.derivative(), p * V.degree
+    else:
+        g2, kpq = p.derivative() * q - p * q.derivative(), p * q * V.degree
+    return kpq - _times_s(g2), g2, q, V.den.degree
+
+
+def _times_s(p: UPoly) -> UPoly:
+    """s p, as a shift of the coefficients."""
+    return UPoly([_ZERO, *p.coeffs])
 
 
 def direction_polynomial(V: Potential) -> UPoly:
     """W(s) = numerator of s*d1V(1,s) - d2V(1,s); roots are directions (1,s)."""
     g1, g2, _, _ = _line_numerators(V)
-    return _S * g1 - g2
+    return _times_s(g1) - g2
 
 
 def _coeff(p: UPoly, j: int):
@@ -217,13 +224,18 @@ def _newton_point(k: int, W: UPoly, dW: UPoly, q: UPoly, g1: UPoly, s: complex,
     rounding floor, about 2^-52 sum |W_j s^j|, and s is only as accurate as
     that; so only a failing root pays for one exact Newton step
     S - m W(S)/W'(S) from S = s, rounded to a complex s, with q, mu and
-    lambda taken there and the residual from W exact at it."""
+    lambda taken there and the residual from W exact at it.  When g1 or q
+    rounds to 0 there, s is beyond double precision and no point is
+    returned."""
     S = GaussianRational(s.real, s.imag)
     dWS = dW(S)
     if not dWS.is_zero():
         s = to_complex(S - m * W(S) / dWS)
         S = GaussianRational(s.real, s.imag)
     qs, g = q(s), g1(s)
+    if not (qs and g):
+        raise DarbouxError(f"the Darboux direction (1, {s}) is beyond double precision: "
+                           f"{'g1' if qs else 'q'} rounds to 0 there")
     return _point_on(k, (1.0 + 0j, s), g / (qs * qs), k - k * dW(s) / g, m, m > 1,
                      defect=abs(to_complex(W(S))) / abs(qs) ** 2)
 
@@ -247,7 +259,7 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
         return _polar_darboux_points(V.U, k)
 
     g1, g2, q, e = _line_numerators(V)
-    W = _S * g1 - g2
+    W = _times_s(g1) - g2
     if W.is_zero():  # grad V(q) is a multiple of q everywhere: V = a r^k
         return _polar_darboux_points(TrigPoly(_radial_coefficient(V)), k)
     dW = W.derivative()

@@ -22,8 +22,11 @@ sin m theta = (z^m - z^-m)/(2i), so a product of trig polynomials is a
 convolution of their coefficients; it may divide only by c*r^p, so its
 denominator stays 1 and U is read off the z-exponents.  A cos/sin argument
 is read in the same ring with theta as its only variable and must come out
-as m*theta, m an integer.  Dividing by an expression that is identically
-zero is an error wherever it happens.  A power of a sum is refused before
+as m*theta, m an integer.  The unit denominator 1 is never multiplied
+in: a polynomial stays num/1 through every sum and product, and a power
+of a single term over a single term scales its exponents instead of
+multiplying.  Dividing by an expression that is identically zero is an
+error wherever it happens.  A power of a sum is refused before
 it is expanded when its expansion could have more than MAX_POWER_TERMS
 terms, which bounds the parse time; a power of a single term is never
 refused.
@@ -86,7 +89,12 @@ _ONE = {(0, 0): GaussianRational(1)}
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
-    """The product of two sparse Laurent polynomials {(a, b): coefficient}."""
+    """The product of two sparse Laurent polynomials {(a, b): coefficient};
+    a factor that is the unit _ONE itself returns the other one."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
     out = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
@@ -97,16 +105,17 @@ def _dict_mul(a: dict, b: dict) -> dict:
 
 class _RatFunc:
     """num/den, each a sparse Laurent polynomial {(a, b): coefficient} in
-    two variables over Q(i); den is never zero."""
+    two variables over Q(i); den is never zero, and it is _ONE itself
+    until a division makes it something else."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE):
         self.num = {k: v for k, v in num.items() if not v.is_zero()}
-        self.den = {k: v for k, v in den.items() if not v.is_zero()}
+        self.den = den if den is _ONE else {k: v for k, v in den.items() if not v.is_zero()}
 
     def __add__(self, o):
-        num = _dict_mul(self.num, o.den)
+        num = dict(_dict_mul(self.num, o.den))
         for k, v in _dict_mul(o.num, self.den).items():
             num[k] = num[k] + v if k in num else v
         return _RatFunc(num, _dict_mul(self.den, o.den))
@@ -118,7 +127,18 @@ class _RatFunc:
         return _RatFunc(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
 
     def __pow__(self, n: int):
+        if len(self.num) == len(self.den) == 1:
+            return _RatFunc(_term_power(self.num, n), _term_power(self.den, n))
         return power(self, n, _RatFunc(_ONE))
+
+
+def _term_power(f: dict, n: int) -> dict:
+    """f^n for a single term f = {(a, b): c}, by scaling its exponents:
+    {(n a, n b): c^n}; the unit _ONE stays itself."""
+    if f is _ONE:
+        return f
+    ((a, b), c), = f.items()
+    return {(n * a, n * b): c ** n}
 
 
 def _invert(f: _RatFunc, polar: bool) -> _RatFunc:

@@ -155,6 +155,8 @@ class GaussianRational:
             raise TypeError("GaussianRational powers must be integers")
         if n < 0:
             return GaussianRational(1) / self ** (-n)
+        if not self.im:  # one Fraction power
+            return GaussianRational(self.re ** n)
         return power(self, n, GaussianRational(1))
 
     def conjugate(self):

@@ -1,7 +1,8 @@
 """Univariate polynomials over the scalars (see scalars.py), and the roots
 of exact ones with multiplicities: `gcd`, `monic`, `divmod` and `roots`
 need Q(i) coefficients, while sums, products, derivatives and evaluation
-also take complex ones.
+also take complex ones.  Evaluation at a float point converts the
+coefficients to complex once per polynomial, not once per call.
 
 ``roots`` takes one path.  Yun's square-free decomposition splits p
 exactly into factors f_m whose roots have multiplicity m; a p whose image
@@ -33,9 +34,11 @@ ABERTH_MAX_ITER = 200
 
 
 class UPoly:
-    """Dense univariate polynomial, coefficients low to high."""
+    """Dense univariate polynomial, coefficients low to high.  `coeffs` is
+    never changed after construction, so the complex copy that evaluation
+    at a float point takes is made once and kept."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_complex")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, (GaussianRational, complex)) else GaussianRational(c)
@@ -54,9 +57,16 @@ class UPoly:
     def __call__(self, x):
         if isinstance(x, (int, Fraction)):
             x = GaussianRational(x)
-        acc = GaussianRational(0) if isinstance(x, GaussianRational) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, GaussianRational) else to_complex(c))
+        if isinstance(x, GaussianRational):
+            acc, cs = GaussianRational(0), self.coeffs
+        else:
+            try:
+                cs = self._complex
+            except AttributeError:
+                cs = self._complex = [to_complex(c) for c in self.coeffs]
+            acc = 0j
+        for c in reversed(cs):
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "UPoly":

@@ -479,6 +479,15 @@ def test_inexact_potentials_raise_typed_errors():
         find_darboux_points(transform(parse_potential("q1^3 + 2*q2^3"), R, 1))
 
 
+def test_direction_beyond_double_precision_is_a_typed_error():
+    # W(N) = 0 exactly for N = 2^60 + 1, a degenerate direction; its float root
+    # is 2^60, and after the exact Newton step g1 rounds to 0 there
+    text = "q1*(q2 - 1152921504606846977*q1)^2"
+    assert direction_polynomial(parse_potential(text))(gr(2**60 + 1)).is_zero()
+    with pytest.raises(DarbouxError, match="beyond double precision"):
+        analyze(text)
+
+
 DEGREE_16 = ("(4/3*q1 + 9/5*q2)*(-5/3*q1 + 5/4*q2)*(3/4*q1 + 8/5*q2)*(3*q1 + 8/3*q2)"
              "*(2/3*q1 + 1/2*q2)*(8*q1 + 3/5*q2)*(-1/3*q1 + 9/5*q2)*(7/3*q1 + 9*q2)"
              "*(-1*q1 + 5*q2)*(-7/4*q1 + 5/4*q2)*(5/3*q1 + 9*q2)*(0*q1 + 7/4*q2)"

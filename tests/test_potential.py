@@ -85,6 +85,18 @@ def test_parse_rational_kind():
     assert V.kind == "polynomial" and V.degree == 2
 
 
+@pytest.mark.parametrize("text, degree, terms", [
+    ("(2*q1*q2)^5", 10, {(5, 5): 32}),
+    ("(3*i*q1)^7*q2", 8, {(7, 1): gr(0, -2187)}),
+    ("q2^3/q1^2*q1^4", 5, {(2, 3): 1}),
+    ("(q1/(2*q2))^3*q2^6", 6, {(3, 3): Fraction(1, 8)}),
+    ("3q1^2q2 + 1/2*q1*q2^2", 3, {(2, 1): 3, (1, 2): Fraction(1, 2)}),
+])
+def test_parse_powers_and_products_of_terms(text, degree, terms):
+    # a power of one term scales its exponents; a unit denominator is never multiplied in
+    assert parse_potential(text) == Potential.polynomial(HomoPoly(degree, terms))
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_potential("q1^2 +")

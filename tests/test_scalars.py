@@ -61,6 +61,26 @@ def test_integer_powers():
     assert z**0 == gr(1)
 
 
+@pytest.mark.parametrize("x", [gr(0), gr(1), gr(-1), gr(Fraction(-7, 3)),
+                               gr(Fraction(10**39 + 7, 13))])
+def test_real_powers_match_binary_powering(x):
+    # a real base takes one Fraction power
+    for n in range(13):
+        assert x**n == power(x, n, gr(1)) and (x**n).is_real()
+    if x:
+        assert x**-3 == gr(1) / power(x, 3, gr(1))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**-3
+
+
+def test_gaussian_powers_match_binary_powering():
+    z = gr(Fraction(2, 3), -5)
+    for n in range(13):
+        assert z**n == power(z, n, gr(1))
+    assert z**-4 == gr(1) / power(z, 4, gr(1))
+
+
 class _CountingRing:
     """Integers that count the squarings and the other products taken."""
 

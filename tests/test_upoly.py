@@ -8,7 +8,7 @@ from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from homopot.scalars import gr
+from homopot.scalars import GaussianRational, gr
 from homopot.upoly import (P, UPoly, _exact_candidate, _mod_p, _square_free_mod_p, _yun, roots,
                           square_free_factors)
 
@@ -189,3 +189,17 @@ def test_continued_fraction_candidate_where_rounding_misses():
     assert _exact_candidate(f, lead, None, z) == gr(Fraction(4, 3))
     # 3 does not divide 2^40, so no convergent is 4/3: the root stays a float
     assert _exact_candidate(f, 2**40, None, z) is None
+
+
+
+def test_float_evaluation_keeps_its_bits_and_exact_evaluation_stays_exact():
+    p = UPoly([gr(Fraction(1, 7), 3), gr(Fraction(-2, 3)), gr(5, 1)])
+    x = complex(0.3, -1.7)
+    expected = 0j
+    for c in reversed(p.coeffs):
+        expected = expected * x + complex(c)
+    # Horner in the complex coefficients, taken once and kept
+    assert repr(p(x)) == repr(expected) and repr(p(x)) == repr(expected)
+    half = p(gr(Fraction(1, 2)))
+    assert isinstance(half, GaussianRational)
+    assert half == gr(Fraction(1, 7) - Fraction(1, 3) + Fraction(5, 4), 3 + Fraction(1, 4))
