@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .scalars import GaussianRational, rational_sqrt
@@ -121,8 +122,10 @@ def _k5_rows(variant: str):
     return rows
 
 
-def table_rows(k: int, k5_variant: str = K5_PRINTED) -> list:
-    """Every table row applicable to degree k."""
+@cache
+def table_rows(k: int, k5_variant: str = K5_PRINTED) -> tuple:
+    """Every table row applicable to degree k, built once per (k, variant)
+    and shared: a tuple of frozen rows, so no caller can change it."""
     if k == 0:
         raise ValueError("degree k = 0 has no table")
     rows = [
@@ -137,7 +140,7 @@ def table_rows(k: int, k5_variant: str = K5_PRINTED) -> list:
         rows.extend(_k5_rows(k5_variant))
     elif k in _SPORADIC:
         rows.extend(_SPORADIC[k])
-    return rows
+    return tuple(rows)
 
 
 @dataclass

@@ -11,8 +11,10 @@ the second-derivative rule
 (s = force_sign, +1 for the formal display convention, -1 for physical
 Hamiltonian time) yields linear transitions whose targets never have a
 smaller index sum, so the system is block-triangular and its top block
-is the l-th symmetric power of the first-order equation.  Coefficients
-stay symbolic in the d_{i,j}; a jet supplies their numeric values.
+is the l-th symmetric power of the first-order equation.  A tail term of
+order i lifts y[n] to order |n| - 1 + i, so it is formed only for
+i <= l - |n| + 1 and no target leaves level l.  Coefficients stay
+symbolic in the d_{i,j}; a jet supplies their numeric values.
 """
 
 from __future__ import annotations
@@ -213,9 +215,11 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
                     k0: int = 1, force_sign: int = 1) -> VariationalSystem:
     """Assemble the level-l linearized variational system.
 
-    jet may be None for a purely structural system; when given it must
-    be based at the normalized Darboux point and its derivatives are
-    attached as the numeric values of the d-symbols.
+    The tail terms of y[n] are formed only for orders i <= l - |n| + 1,
+    the ones whose targets stay within level l, so nothing is truncated
+    after it is built.  jet may be None for a purely structural system;
+    when given it must be based at the normalized Darboux point and its
+    derivatives are attached as the numeric values of the d-symbols.
     """
     if l < 1:
         raise ValueError("level must be >= 1")
@@ -226,44 +230,42 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
     lam_q = None if lam is None else Q(lam)
     indices = monomial_basis(l)
     pos = {idx: p for p, idx in enumerate(indices)}
-    transitions: dict = {}
-
-    def add(src, tgt, coef: Coef):
-        if coef.is_zero():
-            return
-        tgt = tuple(tgt)
-        if sum(tgt) > l:
-            return  # truncation above the working level
-        key = (pos[tuple(src)], pos[tgt])
-        transitions[key] = transitions.get(key, Coef.zero()) + coef
+    transitions: dict = {}  # each (source, target) key is set exactly once
 
     e_hom = k0 * (k - 2)
-    for idx in indices:
+    lam_hom = _lambda_coef(lam_q, e_hom, force_sign)
+    # tails[i - 2] lists, for j = 0..i, the shift (i - j, j) of (n3, n4), the
+    # constant force_sign/((i-j)! j!), and the phi/symbol keys of d_{i,j}
+    # (the X1 equation) and d_{i,j+1} (the X2 equation)
+    tails = []
+    for i in range(2, l + 1):
+        e_tail = k0 * (k - 1 - i)
+        tails.append([(i - j, j, Q(force_sign, factorial(i - j) * factorial(j)),
+                       (e_tail, (f"d_{i}_{j}",)), (e_tail, (f"d_{i}_{j + 1}",)))
+                      for j in range(i + 1)])
+
+    for src, idx in enumerate(indices):
         n1, n2, n3, n4 = idx
+        # a tail term of order i lifts y[n] to order |n| - 1 + i, so only
+        # i <= l - |n| + 1 stays within level l
+        kept = tails[:l - sum(idx)]
         if n3:
-            add(idx, (n1 + 1, n2, n3 - 1, n4), Coef.rational(n3))
+            transitions[src, pos[n1 + 1, n2, n3 - 1, n4]] = Coef.rational(n3)
         if n4:
-            add(idx, (n1, n2 + 1, n3, n4 - 1), Coef.rational(n4))
+            transitions[src, pos[n1, n2 + 1, n3, n4 - 1]] = Coef.rational(n4)
         if n1:
-            base = (n1 - 1, n2, n3, n4)
-            add(idx, (base[0], base[1], base[2] + 1, base[3]),
-                Coef.rational(n1 * k * (k - 1) * force_sign, e_hom))
-            for i in range(2, l + 1):
-                e_tail = k0 * (k - 1 - i)
-                for j2 in range(i + 1):
-                    c = Coef.rational(Q(n1 * force_sign, factorial(i - j2) * factorial(j2)),
-                                      e_tail, (f"d_{i}_{j2}",))
-                    add(idx, (base[0], base[1], base[2] + i - j2, base[3] + j2), c)
+            hom = Coef.rational(n1 * k * (k - 1) * force_sign, e_hom)
+            if not hom.is_zero():
+                transitions[src, pos[n1 - 1, n2, n3 + 1, n4]] = hom
+            for row in kept:
+                for di, dj, c, term, _ in row:
+                    transitions[src, pos[n1 - 1, n2, n3 + di, n4 + dj]] = Coef({term: n1 * c})
         if n2:
-            base = (n1, n2 - 1, n3, n4)
-            add(idx, (base[0], base[1], base[2], base[3] + 1),
-                _lambda_coef(lam_q, e_hom, force_sign).scale(n2))
-            for i in range(2, l + 1):
-                e_tail = k0 * (k - 1 - i)
-                for j2 in range(i + 1):
-                    c = Coef.rational(Q(n2 * force_sign, factorial(i - j2) * factorial(j2)),
-                                      e_tail, (f"d_{i}_{j2 + 1}",))
-                    add(idx, (base[0], base[1], base[2] + i - j2, base[3] + j2), c)
+            if not lam_hom.is_zero():
+                transitions[src, pos[n1, n2 - 1, n3, n4 + 1]] = lam_hom.scale(n2)
+            for row in kept:
+                for di, dj, c, _, term in row:
+                    transitions[src, pos[n1, n2 - 1, n3 + di, n4 + dj]] = Coef({term: n2 * c})
 
     d_values = None
     if jet is not None:

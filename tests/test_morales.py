@@ -1,6 +1,7 @@
 """Eigenvalue-table membership: spot values, witness soundness, and the
 independent enumeration oracle."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import numpy as np
@@ -28,6 +29,20 @@ def test_k5_variant_rows():
     assert printed[-1].A == Q(9, 2)
     assert tenj[-1].A == Q(25, 2)
     assert printed[-1].C == tenj[-1].C == Q(7, 8)
+
+
+def test_table_rows_are_built_once_and_frozen():
+    rows = morales.table_rows(-3)
+    assert morales.table_rows(-3) is rows
+    assert morales.table_rows(5, morales.K5_TENJ) is morales.table_rows(5, morales.K5_TENJ)
+    assert morales.table_rows(5, morales.K5_TENJ) is not morales.table_rows(5)
+    assert isinstance(rows, tuple)
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[0].C = Q(1)
+    assert rows[0].C == Q(0)
+    assert morales.admissible(-3, Q(0)).admissible
 
 
 def test_admissible_examples():

@@ -1,16 +1,22 @@
 """Monomial bases, symbolic VE residuals, and the structure of the
 linearized higher variational systems."""
 
+import hashlib
+import json
 from fractions import Fraction as Q
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+from homopot.darboux import find_darboux_points, normalize
 from homopot.parse import parse_potential
 from homopot.potential import jet_at
-from homopot.varequ import (Coef, VeExpr, build_higher_ve, monomial_basis,
-                            first_order_matrix, stratum_size, sym_power_ve1,
-                            ve1_residual)
+from homopot.varequ import (Coef, VeExpr, _lambda_coef, build_higher_ve,
+                            monomial_basis, first_order_matrix, stratum_size,
+                            sym_power_ve1, ve1_residual)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_basis_counts():
@@ -185,3 +191,94 @@ def test_first_order_matrix_layout():
     assert M[1][3] == Coef.rational(5, 2)
     assert M[2][0] == Coef.rational(1)
     assert M[3][1] == Coef.rational(1)
+
+
+def _enumerate_then_drop(l, k, lam=None, k0=1, force_sign=1):
+    """Reference transitions: form every tail term (i, j) with 2 <= i <= l,
+    then drop each one whose target lies above level l."""
+    lam_q = None if lam is None else Q(lam)
+    indices = monomial_basis(l)
+    pos = {idx: p for p, idx in enumerate(indices)}
+    transitions = {}
+
+    def add(src, tgt, coef):
+        if coef.is_zero() or sum(tgt) > l:
+            return
+        key = (pos[src], pos[tgt])
+        transitions[key] = transitions.get(key, Coef.zero()) + coef
+
+    e_hom = k0 * (k - 2)
+    for idx in indices:
+        n1, n2, n3, n4 = idx
+        if n3:
+            add(idx, (n1 + 1, n2, n3 - 1, n4), Coef.rational(n3))
+        if n4:
+            add(idx, (n1, n2 + 1, n3, n4 - 1), Coef.rational(n4))
+        if n1:
+            base = (n1 - 1, n2, n3, n4)
+            add(idx, (base[0], base[1], base[2] + 1, base[3]),
+                Coef.rational(n1 * k * (k - 1) * force_sign, e_hom))
+            for i in range(2, l + 1):
+                for j in range(i + 1):
+                    c = Coef.rational(Q(n1 * force_sign, factorial(i - j) * factorial(j)),
+                                      k0 * (k - 1 - i), (f"d_{i}_{j}",))
+                    add(idx, (base[0], base[1], base[2] + i - j, base[3] + j), c)
+        if n2:
+            base = (n1, n2 - 1, n3, n4)
+            add(idx, (base[0], base[1], base[2], base[3] + 1),
+                _lambda_coef(lam_q, e_hom, force_sign).scale(n2))
+            for i in range(2, l + 1):
+                for j in range(i + 1):
+                    c = Coef.rational(Q(n2 * force_sign, factorial(i - j) * factorial(j)),
+                                      k0 * (k - 1 - i), (f"d_{i}_{j + 1}",))
+                    add(idx, (base[0], base[1], base[2] + i - j, base[3] + j), c)
+    return transitions
+
+
+@pytest.mark.parametrize("k", [-3, -1, 3, 4, 7])
+@pytest.mark.parametrize("k0", [1, 2])
+@pytest.mark.parametrize("force_sign", [1, -1])
+@pytest.mark.parametrize("lam", [None, Q(-5, 3)])
+def test_transitions_match_enumerate_then_drop(k, k0, force_sign, lam):
+    for l in range(1, 8):
+        _assert_matches_reference(l, k, lam, k0, force_sign)
+
+
+@pytest.mark.parametrize("force_sign", [1, -1])
+def test_zero_linear_coefficients_are_left_out_as_before(force_sign):
+    # k = 1 zeroes k(k-1) and lambda = 0 the normal one: no transition for either
+    for l in range(1, 5):
+        _assert_matches_reference(l, 1, Q(0), 1, force_sign)
+
+
+def _assert_matches_reference(l, k, lam, k0, force_sign):
+    got = build_higher_ve(None, l, k, lam=lam, k0=k0, force_sign=force_sign)
+    ref = _enumerate_then_drop(l, k, lam=lam, k0=k0, force_sign=force_sign)
+    assert list(got.transitions) == list(ref), l
+    for key, coef in ref.items():
+        assert list(got.transitions[key].terms.items()) == list(coef.terms.items()), key
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(obj.encode()).hexdigest()
+
+
+def test_level_seven_systems_are_pinned():
+    # digests recorded from the enumerate-then-drop builder, never recomputed
+    radial = build_higher_ve(None, 7, -3, lam=Q(-3))
+    assert len(radial.transitions) == 2772
+    assert _digest(json.dumps(radial.to_json(), sort_keys=True)) == \
+        "cef9fb557fcfcd044bd805a3652cc3ce74ee0e0793267722d1485ebbadc952ce"
+    # the system ve-build makes for the polar corpus potential; to_json
+    # carries no d_values, so the jet's values are pinned on their own
+    V = parse_potential((DATA / "corpus" / "04_polar_wave.pot").read_text())
+    # ve-build's choice: the first non-isotropic point, exact ones first
+    point = min((p for p in find_darboux_points(V).points if not p.isotropic),
+                key=lambda p: not p.exact)
+    Vn, c = normalize(V, point)
+    polar = build_higher_ve(jet_at(Vn, c, 7), 7, V.degree, lam=point.spectrum[1].re)
+    assert polar.lam == Q(-37, 11)
+    assert _digest(json.dumps(polar.to_json(), sort_keys=True)) == \
+        "9371f928232d4ab8a72ce011da86dfd30f678134409fba0f03ad52dd5249aa18"
+    assert _digest(repr(sorted(polar.d_values.items()))) == \
+        "1899ec119eece473f557c1c4b1ea54ad3cef383bd78c693ebd0424aac7303b54"
