@@ -1,10 +1,13 @@
 """Admissible Hessian eigenvalues at Darboux points (the integrability table).
 
 For a potential of degree k and eigenvalue lambda, meromorphic
-integrability forces (k, lambda) into a fixed table: two quadratic
-families in an integer parameter i valid for every nonzero k, sporadic
-rows for |k| in {3,4,5}, and everything for k = +-2.  Membership is
-decided exactly over the rationals by solving each row's quadratic.
+integrability forces (k, lambda) into a fixed table: two families in an
+integer parameter i valid for every nonzero k, sporadic rows for |k| in
+{3,4,5}, and everything for k = +-2.  Every row but the last has one
+square form, lambda = (tau^2 - (k-2)^2)/8 with tau = a + b*i on an
+arithmetic progression, so membership takes one exact square root per
+lambda, tau = +-sqrt(8 lambda + (k-2)^2), and asks of each row whether
+(tau - a)/b is an integer.
 
 The published k=5 row breaks the (10/3 + 10i)^2 pattern of its sibling
 and reads (4 + 6i)^2; both variants ship, selected by k5_variant
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isfinite, isqrt
 from typing import Optional
 
 from .scalars import GaussianRational, rational_sqrt
@@ -33,6 +37,7 @@ K5_PRINTED = "printed"
 K5_TENJ = "tenj"
 
 MAX_DENOMINATOR = 1000  # the cap when a float eigenvalue is reconstructed
+RECONSTRUCT_TOL = 1e-9  # how near a float must lie to its reconstruction
 
 ST_ADMISSIBLE = "admissible"
 ST_INADMISSIBLE = "inadmissible"
@@ -41,17 +46,30 @@ ST_INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class TableRow:
-    """lambda(i) = A i^2 + B i + C for integer i (or all of C when all_c)."""
+    """lambda(i) = (tau^2 - (k-2)^2)/8 with tau = a + b i for integer i
+    (or all of C when all_c); A, B, C read it as A i^2 + B i + C."""
 
     row_id: str
-    A: Fraction = Q(0)
-    B: Fraction = Q(0)
-    C: Fraction = Q(0)
-    all_c: bool = False
+    k: int
+    a: Fraction = Q(0)
+    b: Fraction = Q(0)
     formula: str = ""
+    all_c: bool = False
 
     def value(self, i: int) -> Fraction:
-        return self.A * i * i + self.B * i + self.C
+        return ((self.a + self.b * i) ** 2 - (self.k - 2) ** 2) / 8
+
+    @property
+    def A(self) -> Fraction:
+        return self.b * self.b / 8
+
+    @property
+    def B(self) -> Fraction:
+        return self.a * self.b / 4
+
+    @property
+    def C(self) -> Fraction:
+        return (self.a * self.a - (self.k - 2) ** 2) / 8
 
     def to_json(self) -> dict:
         if self.all_c:
@@ -60,66 +78,28 @@ class TableRow:
                 "C": str(self.C), "formula": self.formula}
 
 
-def _square_row(row_id: str, base: Fraction, coef: Fraction,
-                offset: Fraction, step: Fraction, formula: str) -> TableRow:
-    # base + coef*(offset + step*i)^2, expanded
-    return TableRow(row_id,
-                    A=coef * step * step,
-                    B=2 * coef * offset * step,
-                    C=base + coef * offset * offset,
-                    formula=formula)
-
-
+# a printed (o + s i)^2/8 row is tau = o + s i; a printed (o + s i)^2/2 row
+# (k = +-4) is tau = 2o + 2s i
 _SPORADIC = {
-    -5: [
-        _square_row("k=-5 sporadic a", Q(-49, 8), Q(1, 8), Q(10, 3), Q(10),
-                    "-49/8 + (10/3 + 10i)^2/8"),
-        _square_row("k=-5 sporadic b", Q(-49, 8), Q(1, 8), Q(4), Q(10),
-                    "-49/8 + (4 + 10i)^2/8"),
-    ],
-    -4: [
-        _square_row("k=-4 sporadic", Q(-9, 2), Q(1, 2), Q(4, 3), Q(4),
-                    "-9/2 + (4/3 + 4i)^2/2"),
-    ],
-    -3: [
-        _square_row("k=-3 sporadic a", Q(-25, 8), Q(1, 8), Q(2), Q(6),
-                    "-25/8 + (2 + 6i)^2/8"),
-        _square_row("k=-3 sporadic b", Q(-25, 8), Q(1, 8), Q(3, 2), Q(6),
-                    "-25/8 + (3/2 + 6i)^2/8"),
-        _square_row("k=-3 sporadic c", Q(-25, 8), Q(1, 8), Q(6, 5), Q(6),
-                    "-25/8 + (6/5 + 6i)^2/8"),
-        _square_row("k=-3 sporadic d", Q(-25, 8), Q(1, 8), Q(12, 5), Q(6),
-                    "-25/8 + (12/5 + 6i)^2/8"),
-    ],
-    3: [
-        _square_row("k=3 sporadic a", Q(-1, 8), Q(1, 8), Q(2), Q(6),
-                    "-1/8 + (2 + 6i)^2/8"),
-        _square_row("k=3 sporadic b", Q(-1, 8), Q(1, 8), Q(3, 2), Q(6),
-                    "-1/8 + (3/2 + 6i)^2/8"),
-        _square_row("k=3 sporadic c", Q(-1, 8), Q(1, 8), Q(6, 5), Q(6),
-                    "-1/8 + (6/5 + 6i)^2/8"),
-        _square_row("k=3 sporadic d", Q(-1, 8), Q(1, 8), Q(12, 5), Q(6),
-                    "-1/8 + (12/5 + 6i)^2/8"),
-    ],
-    4: [
-        _square_row("k=4 sporadic", Q(-1, 2), Q(1, 2), Q(4, 3), Q(4),
-                    "-1/2 + (4/3 + 4i)^2/2"),
-    ],
+    -5: (TableRow("k=-5 sporadic a", -5, Q(10, 3), Q(10), "-49/8 + (10/3 + 10i)^2/8"),
+         TableRow("k=-5 sporadic b", -5, Q(4), Q(10), "-49/8 + (4 + 10i)^2/8")),
+    -4: (TableRow("k=-4 sporadic", -4, Q(8, 3), Q(8), "-9/2 + (4/3 + 4i)^2/2"),),
+    -3: (TableRow("k=-3 sporadic a", -3, Q(2), Q(6), "-25/8 + (2 + 6i)^2/8"),
+         TableRow("k=-3 sporadic b", -3, Q(3, 2), Q(6), "-25/8 + (3/2 + 6i)^2/8"),
+         TableRow("k=-3 sporadic c", -3, Q(6, 5), Q(6), "-25/8 + (6/5 + 6i)^2/8"),
+         TableRow("k=-3 sporadic d", -3, Q(12, 5), Q(6), "-25/8 + (12/5 + 6i)^2/8")),
+    3: (TableRow("k=3 sporadic a", 3, Q(2), Q(6), "-1/8 + (2 + 6i)^2/8"),
+        TableRow("k=3 sporadic b", 3, Q(3, 2), Q(6), "-1/8 + (3/2 + 6i)^2/8"),
+        TableRow("k=3 sporadic c", 3, Q(6, 5), Q(6), "-1/8 + (6/5 + 6i)^2/8"),
+        TableRow("k=3 sporadic d", 3, Q(12, 5), Q(6), "-1/8 + (12/5 + 6i)^2/8")),
+    4: (TableRow("k=4 sporadic", 4, Q(8, 3), Q(8), "-1/2 + (4/3 + 4i)^2/2"),),
+    5: (TableRow("k=5 sporadic a", 5, Q(10, 3), Q(10), "-9/8 + (10/3 + 10i)^2/8"),),
 }
 
-
-def _k5_rows(variant: str):
-    rows = [_square_row("k=5 sporadic a", Q(-9, 8), Q(1, 8), Q(10, 3), Q(10),
-                        "-9/8 + (10/3 + 10i)^2/8")]
-    if variant == K5_PRINTED:
-        rows.append(_square_row("k=5 sporadic b (printed)", Q(-9, 8), Q(1, 8), Q(4), Q(6),
-                                "-9/8 + (4 + 6i)^2/8"))
-    elif variant == K5_TENJ:
-        rows.append(_square_row("k=5 sporadic b (tenj)", Q(-9, 8), Q(1, 8), Q(4), Q(10),
-                                "-9/8 + (4 + 10i)^2/8"))
-    else:
-        raise ValueError(f"unknown k5 variant {variant!r}")
-    return rows
+_K5_B = {
+    K5_PRINTED: TableRow("k=5 sporadic b (printed)", 5, Q(4), Q(6), "-9/8 + (4 + 6i)^2/8"),
+    K5_TENJ: TableRow("k=5 sporadic b (tenj)", 5, Q(4), Q(10), "-9/8 + (4 + 10i)^2/8"),
+}
 
 
 @cache
@@ -128,18 +108,17 @@ def table_rows(k: int, k5_variant: str = K5_PRINTED) -> tuple:
     and shared: a tuple of frozen rows, so no caller can change it."""
     if k == 0:
         raise ValueError("degree k = 0 has no table")
+    if k == 5 and k5_variant not in _K5_B:
+        raise ValueError(f"unknown k5 variant {k5_variant!r}")
     rows = [
-        TableRow("family 1", A=Q(k * k, 2), B=Q(k * (k - 2), 2), C=Q(0),
-                 formula="i*k*(i*k + k - 2)/2"),
-        TableRow("family 2", A=Q(k * k, 2), B=Q(k * k, 2), C=Q(k - 1, 2),
-                 formula="(i*k + k - 1)*(i*k + 1)/2"),
+        TableRow("family 1", k, Q(k - 2), Q(2 * k), "i*k*(i*k + k - 2)/2"),
+        TableRow("family 2", k, Q(k), Q(2 * k), "(i*k + k - 1)*(i*k + 1)/2"),
     ]
     if abs(k) == 2:
-        rows.append(TableRow(f"k={k} all of C", all_c=True, formula="C"))
+        rows.append(TableRow(f"k={k} all of C", k, formula="C", all_c=True))
+    rows.extend(_SPORADIC.get(k, ()))
     if k == 5:
-        rows.extend(_k5_rows(k5_variant))
-    elif k in _SPORADIC:
-        rows.extend(_SPORADIC[k])
+        rows.append(_K5_B[k5_variant])
     return tuple(rows)
 
 
@@ -161,51 +140,42 @@ class MoralesVerdict:
         return out
 
 
-def _solve_row(row: TableRow, lam: Fraction):
-    """Integer solutions of row.value(i) = lam plus the discriminant."""
-    disc = row.B * row.B - 4 * row.A * (row.C - lam)
-    sols = []
-    root = rational_sqrt(disc)
-    if root is not None:
-        for sgn in (1, -1) if root != 0 else (1,):
-            i = (-row.B + sgn * root) / (2 * row.A)
-            if i.denominator == 1:
-                sols.append(int(i))
-    return sols, disc
-
-
 def admissible(k: int, lam, k5_variant: str = K5_PRINTED) -> MoralesVerdict:
     """Exact membership of (k, lambda) in the table.
 
     lam must be an exact rational; floats go through
-    reconstruct_rational first.
+    reconstruct_rational first.  With t = 8 lam + (k-2)^2, a row admits
+    lam when tau = sqrt(t) is rational and (+-tau - a)/b is an integer; the
+    witness is the larger such i.  An inadmissible verdict carries each
+    row's discriminant b^2 t/16 of A i^2 + B i + C = lam.
     """
-    if k == 0:
-        raise ValueError("degree k = 0 has no table")
+    rows = table_rows(k, k5_variant)
     if isinstance(lam, float):
         raise TypeError("lam must be exact; use reconstruct_rational for floats")
     lam = Q(lam)
+    t = 8 * lam + (k - 2) ** 2
+    tau = rational_sqrt(t)
     certificate = []
-    for row in table_rows(k, k5_variant):
+    for row in rows:
         if row.all_c:
             return MoralesVerdict(True, k, lam, witness=(row.row_id, 0))
-        sols, disc = _solve_row(row, lam)
-        if sols:
-            i = sols[0]
-            assert row.value(i) == lam
-            return MoralesVerdict(True, k, lam, witness=(row.row_id, i))
-        certificate.append({"row": row.row_id, "discriminant": disc})
+        if tau is not None:
+            sols = [i for i in ((tau - row.a) / row.b, (-tau - row.a) / row.b)
+                    if i.denominator == 1]
+            if sols:
+                i = int(max(sols))
+                assert row.value(i) == lam
+                return MoralesVerdict(True, k, lam, witness=(row.row_id, i))
+        certificate.append({"row": row.row_id, "discriminant": row.b * row.b * t / 16})
     return MoralesVerdict(False, k, lam, certificate=certificate)
 
 
-def reconstruct_rational(x: float, max_denominator: int = 64,
-                         tol: float = 1e-9) -> Optional[Fraction]:
+def reconstruct_rational(x: float, max_denominator: int = 64) -> Optional[Fraction]:
     """Small-denominator rational near x, or None when indeterminate."""
-    from math import isfinite
     if not isfinite(x):
         return None
     cand = Q(x).limit_denominator(max_denominator)
-    if abs(x - float(cand)) < tol:
+    if abs(x - float(cand)) < RECONSTRUCT_TOL:
         return cand
     return None
 
@@ -264,25 +234,27 @@ def admissible_values_at_most(k: int, bound: Fraction,
                               k5_variant: str = K5_PRINTED) -> dict:
     """All admissible lambda <= bound, as {lambda: (row_id, i)}.
 
-    Each row is a positive-leading-coefficient quadratic in i, so its
-    sublevel set {lambda(i) <= bound} is a finite integer interval,
-    enumerated exactly.
+    lambda <= bound holds exactly when tau^2 <= T = 8 bound + (k-2)^2, so
+    each row's i form the integer interval around its vertex -a/b on
+    which |a + b i| <= sqrt(T), found exactly from isqrt(floor(T)).
     """
     if abs(k) == 2:
         raise ValueError("k = +-2 admits every lambda; no finite enumeration")
+    rows = table_rows(k, k5_variant)
+    T = 8 * Q(bound) + (k - 2) ** 2
     out = {}
-    for row in table_rows(k, k5_variant):
-        # solve A i^2 + B i + (C - bound) <= 0 exactly
-        disc = row.B * row.B - 4 * row.A * (row.C - Q(bound))
-        if disc < 0:
-            continue
-        from math import floor, ceil, sqrt
-        r = sqrt(float(disc))
-        lo = (-float(row.B) - r) / (2 * float(row.A))
-        hi = (-float(row.B) + r) / (2 * float(row.A))
-        for i in range(floor(lo) - 2, ceil(hi) + 3):  # float guard margin
-            val = row.value(i)
-            if val <= bound and val not in out:
-                out[val] = (row.row_id, i)
-    return out
+    if T < 0:
+        return out
+    R = isqrt(T.numerator // T.denominator)   # R <= sqrt(T) < R + 1
 
+    def last(a, b):
+        # the largest i with a + b i <= sqrt(T); for b >= 1 the start
+        # overshoots it by at most one
+        i = (R + 1 - a) // b
+        return i - 1 if a + b * i > 0 and (a + b * i) ** 2 > T else i
+
+    for row in rows:
+        a, b = (row.a, row.b) if row.b > 0 else (-row.a, -row.b)
+        for i in range(-last(-a, b), last(a, b) + 1):
+            out.setdefault(row.value(i), (row.row_id, i))
+    return out

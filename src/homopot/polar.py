@@ -131,11 +131,15 @@ def analyze_polar(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> PolarVer
 
     At the extremum, lambda = k + U''/U <= k, with equality exactly at a
     multiple root of z^M U'.  For k != -2 no table value lies below k, so a
-    simple root is not integrable: family 1 equals k at i = -1 and has its
-    vertex -1/2 + 1/k in [-3/2, -1/2); family 2 is (k^2/2)(i^2 + i) +
-    (k-1)/2 >= (k-1)/2 >= k; the tests check the sporadic rows of k = -3,
-    -4, -5.  An exact lambda, or that of a multiple root, still goes to the
-    table; a float lambda at a simple root is reported, never rounded.
+    simple root is not integrable.  Every row is lambda = (tau^2 - (k-2)^2)/8
+    with tau on a progression a + b Z, so lambda <= k holds exactly when
+    tau^2 <= 8k + (k-2)^2 = (k+2)^2.  Within that bound lie only
+    tau = +-(k+2) on family 1 (k - 2 + 2k Z) and, when k = -1, on family 2
+    (the odd multiples of k); both give lambda = k.  The nearest tau of each
+    sporadic progression, 2, 3/2, 6/5, 12/5 (k = -3), 8/3 (k = -4) and
+    10/3, 4 (k = -5), exceeds |k+2|.  An exact lambda, or that of a
+    multiple root, still goes to the table; a float lambda at a simple root
+    is reported, never rounded.
     """
     if k >= 0:
         raise PolarError("the polar classification applies to negative degrees only")

@@ -82,8 +82,7 @@ class Coef:
 
     def entries(self):
         """Deterministic (rational, phi_exp, symbols) triples."""
-        return [(val, e, syms) for (e, syms), val in
-                sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
+        return [(val, e, syms) for (e, syms), val in sorted(self.terms.items())]
 
     def __repr__(self):
         if not self.terms:

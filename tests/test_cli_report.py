@@ -534,6 +534,21 @@ def test_cli_dump_table(capsys):
     assert (code, out, err) == (1, "", "error: degree k = 0 has no table\n")
 
 
+# the whole table of both k = 5 variants, and a k = 5 certificate over all its rows
+TABLE_GOLDENS = {
+    "golden_dump_table.json": ("dump-table", "--json"),
+    "golden_dump_table_tenj.json": ("dump-table", "--k5-variant", "tenj", "--json"),
+    "golden_morales_check_k5.json": ("morales-check", "--k", "5", "--lambda", "1/3", "--json"),
+}
+
+
+def test_cli_table_is_golden(capsys):
+    for golden, argv in TABLE_GOLDENS.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (DATA / golden).read_text(), golden
+
+
 def test_cli_g_verdict_text(capsys):
     code, out, _ = run_cli(capsys, "g-verdict", "--k", "3")
     assert code == 0

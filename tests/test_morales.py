@@ -83,24 +83,28 @@ def test_witness_soundness(k, i):
         assert wrow.value(v.witness[1]) == lam
 
 
+def row_numerators(row, i):
+    """row.value at every integer of the array i as numerators over one
+    common denominator, in vectorized integer arithmetic."""
+    den = int(np.lcm(np.lcm(row.A.denominator, row.B.denominator), row.C.denominator))
+    a, b, c = (np.int64(x * den) for x in (row.A, row.B, row.C))
+    return a * i * i + b * i + c, den
+
+
 def brute_force_admissible_set(k: int, num_cap: int, den_cap: int,
-                               i_range: int = 10**6) -> set:
+                               i_range: int = 10**6,
+                               k5_variant: str = morales.K5_PRINTED) -> set:
     """Independent oracle: enumerate every i in [-i_range, i_range] for every
     row with vectorized integer arithmetic and keep the small rationals."""
     out = set()
     i = np.arange(-i_range, i_range + 1, dtype=np.int64)
-    for row in morales.table_rows(k):
+    for row in morales.table_rows(k, k5_variant):
         if row.all_c:
             continue
-        den = np.int64(np.lcm(np.lcm(row.A.denominator, row.B.denominator),
-                              row.C.denominator))
-        a = np.int64(row.A * int(den))
-        b = np.int64(row.B * int(den))
-        c = np.int64(row.C * int(den))
-        num = a * i * i + b * i + c
-        mask = np.abs(num) <= int(den) * num_cap * den_cap
+        num, den = row_numerators(row, i)
+        mask = np.abs(num) <= den * num_cap * den_cap
         for n in num[mask]:
-            lam = Q(int(n), int(den))
+            lam = Q(int(n), den)
             if abs(lam.numerator) <= num_cap and lam.denominator <= den_cap:
                 out.add(lam)
     return out
@@ -108,14 +112,36 @@ def brute_force_admissible_set(k: int, num_cap: int, den_cap: int,
 
 def test_enumeration_equivalence_small():
     # reduced-size version of the acceptance criterion
-    for k in (-3, -1, 1, 4):
-        oracle = brute_force_admissible_set(k, 60, 8, i_range=10**4)
+    cases = [(k, morales.K5_PRINTED) for k in (-5, -4, -3, -1, 1, 3, 4, 5)]
+    for k, variant in cases + [(5, morales.K5_TENJ)]:
+        oracle = brute_force_admissible_set(k, 60, 8, i_range=10**4, k5_variant=variant)
         for p in range(-60, 61):
             for q in range(1, 9):
                 lam = Q(p, q)
                 if abs(lam.numerator) > 60 or lam.denominator > 8:
                     continue
-                assert morales.admissible(k, lam).admissible == (lam in oracle), (k, lam)
+                assert morales.admissible(k, lam, variant).admissible == (lam in oracle), \
+                    (k, variant, lam)
+
+
+@pytest.mark.parametrize("k", [-5, -3, -1, 1, 4, 5])
+def test_values_at_most_match_brute_force(k):
+    # lambda <= bound is tau^2 <= 8 bound + (k-2)^2: bounds below, at and
+    # above the vertex -(k-2)^2/8 of every row
+    i = np.arange(-2000, 2001, dtype=np.int64)
+    rows = {row.row_id: row for row in morales.table_rows(k)}
+    vertex = Q(-(k - 2) ** 2, 8)
+    for bound in (vertex - Q(1, 3), vertex, vertex + Q(1, 8), Q(k), Q(0), Q(73, 3), Q(400)):
+        expect = set()
+        for row in rows.values():
+            num, den = row_numerators(row, i)
+            below = num * bound.denominator <= bound.numerator * den
+            expect.update(Q(int(n), den) for n in num[below])
+        got = morales.admissible_values_at_most(k, bound)
+        assert set(got) == expect, (k, bound)
+        assert all(rows[row_id].value(j) == lam for lam, (row_id, j) in got.items())
+        if 8 * bound + (k - 2) ** 2 < 0:
+            assert got == {}
 
 
 def test_reconstruct_rational():
