@@ -109,18 +109,21 @@ class LoopSpec:
     j: int
 
     def pieces(self):
-        """The smooth pieces of the loop in order, as (t, t') function pairs
-        on u in [0, 1]: segments on the real axis and quarter arcs, four per
-        turn, so no piece turns t - 1 or t + 1 by pi or more."""
+        """The smooth pieces of the loop in order, each a function
+        u -> (t(u), t'(u)) on u in [0, 1]: segments on the real axis and
+        quarter arcs, four per turn, so no piece turns t - 1 or t + 1 by pi
+        or more."""
         j, r = self.j, _RADIUS
 
         def segment(a, b):
-            a, b = complex(a), complex(b)
-            return (lambda u: a + (b - a) * u), (lambda u: b - a)
+            a, d = complex(a), complex(b) - complex(a)
+            return lambda u: (a + d * u, d)
 
         def arc(center, a0, da):
-            return ((lambda u: center + r * cmath.exp(1j * (a0 + da * u))),
-                    (lambda u: r * 1j * da * cmath.exp(1j * (a0 + da * u))))
+            def point(u):
+                e = r * cmath.exp(1j * (a0 + da * u))
+                return center + e, 1j * da * e
+            return point
 
         def arcs(center, start_angle, turns):
             # one full turn = 4 quarter arcs; sign of `turns` = orientation
@@ -162,10 +165,18 @@ def _gl(n: int):
 
 
 def _adaptive_gl(f, tol: float):
-    """(integral of f over [0, 1], error estimate): the 24-point
+    """(integral of f over [0, 1], error estimate): the 12-point
     Gauss-Legendre rule, bisecting each interval whose halves differ from
-    it by tol or more, down to depth 24."""
-    x, w = _gl(24)
+    it by tol or more, down to depth 24.
+
+    On a loop piece the integrand is analytic inside the Bernstein ellipse
+    of [0, 1] with rho ~ 4.2: on a quarter arc the nearest branch point
+    lies ln 4 off the arc's angle at one endpoint, and a segment has
+    rho = 3 + sqrt 8.  The n-point rule's error is about rho^(-2n), some
+    1e-15 for n = 12 (Trefethen, SIAM Rev. 50, 2008), so a period piece
+    takes 36 evaluations and the bisection is only the safety net.
+    """
+    x, w = _gl(12)
 
     def rule(a, b):
         mid, half = (a + b) / 2, (b - a) / 2
@@ -188,7 +199,8 @@ def _adaptive_gl(f, tol: float):
 
 
 def period_quadrature(spec: LoopSpec, alpha, tol: float = 1e-10) -> PeriodValue:
-    """Numerical analytic continuation of the period along the loop.
+    """Numerical analytic continuation of the period along the loop, by the
+    12-point Gauss-Legendre rule of `_adaptive_gl` on each piece.
 
     (t^2-1)^alpha = exp(alpha (log|t-1| + log|t+1| + i (th1 + th2))) with
     th1, th2 the arguments of t-1 and t+1, continued from (pi, 0) at t = 0
@@ -204,23 +216,23 @@ def period_quadrature(spec: LoopSpec, alpha, tol: float = 1e-10) -> PeriodValue:
     th1, th2 = math.pi, 0.0
     total = 0j
     err = 0.0
-    for t, dt in pieces:
-        t0 = t(0.0)
+    for piece in pieces:
+        t0 = piece(0.0)[0]
 
         def args(tv):
             return (th1 + cmath.phase((tv - 1) / (t0 - 1)),
                     th2 + cmath.phase((tv + 1) / (t0 + 1)))
 
         def f(u):
-            tv = t(u)
+            tv, dt = piece(u)
             a1, a2 = args(tv)
-            mag = alpha_f * (math.log(abs(tv - 1)) + math.log(abs(tv + 1)))
-            return cmath.exp(mag + 1j * alpha_f * (a1 + a2)) * dt(u)
+            mag = alpha_f * math.log(abs((tv - 1) * (tv + 1)))
+            return cmath.exp(mag + 1j * alpha_f * (a1 + a2)) * dt
 
         v, e = _adaptive_gl(f, piece_tol)
         total += v
         err += e
-        th1, th2 = args(t(1.0))
+        th1, th2 = args(piece(1.0)[0])
     # loop closure on the Riemann surface: arg(t-1) gains 2 pi j, arg(t+1) loses it
     closure = max(abs(th1 - math.pi - 2 * math.pi * spec.j),
                   abs(th2 + 2 * math.pi * spec.j))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import isfinite, isqrt
 from typing import Optional
 
@@ -58,6 +58,12 @@ class TableRow:
 
     def value(self, i: int) -> Fraction:
         return ((self.a + self.b * i) ** 2 - (self.k - 2) ** 2) / 8
+
+    @cached_property
+    def discriminant_scale(self) -> Fraction:
+        """b^2/16: the discriminant of A i^2 + B i + C = lambda is this
+        times t = 8 lambda + (k-2)^2."""
+        return self.b * self.b / 16
 
     @property
     def A(self) -> Fraction:
@@ -166,7 +172,7 @@ def admissible(k: int, lam, k5_variant: str = K5_PRINTED) -> MoralesVerdict:
                 i = int(max(sols))
                 assert row.value(i) == lam
                 return MoralesVerdict(True, k, lam, witness=(row.row_id, i))
-        certificate.append({"row": row.row_id, "discriminant": row.b * row.b * t / 16})
+        certificate.append({"row": row.row_id, "discriminant": row.discriminant_scale * t})
     return MoralesVerdict(False, k, lam, certificate=certificate)
 
 

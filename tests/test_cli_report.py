@@ -119,9 +119,13 @@ def test_analyze_finishes_in_bounded_time(text, outcome):
 
 
 def test_analyze_does_not_import_numpy():
-    # numpy and scipy serve orbit integration only, which imports them lazily
+    # numpy and scipy serve orbit integration only, which imports them
+    # lazily; analyze and the period quadrature stay pure Python
     env = dict(os.environ, PYTHONPATH=str(Path(homopot.__file__).parents[1]))
-    code = 'import sys, homopot; homopot.analyze("q1^2*q2"); print("numpy" in sys.modules)'
+    code = ('import sys, homopot; from fractions import Fraction; '
+            'homopot.analyze("q1^2*q2"); '
+            'homopot.period_quadrature(homopot.LoopSpec(2), Fraction(1, 3)); '
+            'print("numpy" in sys.modules)')
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           check=True, timeout=30, capture_output=True, text=True)
     assert proc.stdout.strip() == "False"

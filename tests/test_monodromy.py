@@ -12,7 +12,7 @@ from homopot import monodromy as M
 
 # -- Gauss-Legendre rule ----------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 5, 24])
+@pytest.mark.parametrize("n", [2, 5, 12, 24])
 def test_gauss_legendre_is_exact_to_degree_2n_minus_2(n):
     x, w = M._gl(n)
     assert len(x) == len(w) == n and list(x) == sorted(x)
@@ -86,6 +86,44 @@ def test_quadrature_high_winding():
         c = M.period_closed_form(alpha, j)
         q = M.period_quadrature(M.LoopSpec(j), alpha, 1e-10)
         assert abs(c.value - q.value) < 1e-9, (alpha, j)
+
+
+def test_adaptive_rule_bisects_near_a_pole():
+    # the pole at 1.01 puts rho ~ 1.2 on [0, 1], far below the period
+    # pieces' ~ 4.2, so only bisection reaches tol; the estimate bounds the error
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return 1 / (u - 1.01)
+
+    tol = 1e-10
+    value, err = M._adaptive_gl(f, tol)
+    exact = math.log(0.01 / 1.01)
+    assert len(calls) > 36
+    assert abs(value - exact) <= tol
+    assert abs(value - exact) <= err
+
+
+def test_period_pieces_take_one_rule_each(monkeypatch):
+    # 36 evaluations per piece: the whole rule and its two halves, no bisection
+    calls = []
+    rule = M._adaptive_gl
+    monkeypatch.setattr(M, "_adaptive_gl",
+                        lambda f, tol: rule(lambda u: calls.append(u) or f(u), tol))
+    M.period_quadrature(M.LoopSpec(2), Q(-2, 7))
+    assert len(calls) == 36 * len(M.LoopSpec(2).pieces())
+
+
+def test_quadrature_matches_closed_form_on_the_bench_grid():
+    # every non-integer p/q, q = 3..7, -3q <= p < 2q: the obstructions
+    # workload's alphas and more (gamma poles -3/2, -5/2 among them)
+    for alpha in sorted({Q(p, q) for q in range(3, 8) for p in range(-3 * q, 2 * q) if p % q}):
+        for j in (-2, -1, 1, 2, 3):
+            c = M.period_closed_form(alpha, j)
+            q = M.period_quadrature(M.LoopSpec(j), alpha, 1e-10)
+            assert abs(c.value - q.value) <= q.error_bound + 1e-10, (alpha, j)
+            assert q.error_bound < 1e-9, (alpha, j)
 
 
 def test_quadrature_trivial_integrand():

@@ -119,3 +119,59 @@ def test_level_guard():
     system = build_higher_ve(None, 4, -3, lam=Q(-3), force_sign=-1)
     with pytest.raises(ValueError, match="levels"):
         O.integrate_ve(system, traj, np.zeros(system.dim, dtype=complex))
+
+
+# -- the checks' grids read the dense output once, as the per-point loops did --
+
+def _max_residual_per_point(system, traj, ve, n_check=60):
+    # integrate_ve's residual, one dense-output call per point
+    matrix = O._compile_rhs(system)
+    t0, t1 = float(traj.t[0]), float(traj.t[-1])
+    h = max(1e-7, 1e-7 * (t1 - t0))
+    worst = 0.0
+    for tc in np.linspace(t0 + 2 * h, t1 - 2 * h, n_check):
+        yc = ve.sol.sol(tc)
+        dy = (ve.sol.sol(tc + h) - ve.sol.sol(tc - h)) / (2 * h)
+        res = dy - matrix(traj.phi_at(tc)) @ yc
+        worst = max(worst, float(np.max(np.abs(res)) / (1.0 + np.max(np.abs(yc)))))
+    return worst
+
+
+def _pk_comparison_per_point(traj, rtol=1e-10):
+    # pk_comparison, one dense-output call per point
+    p = traj.params
+    system = build_higher_ve(None, 1, p.k, lam=Q(p.k), k0=p.k0, force_sign=-1)
+    t0 = float(traj.t[0])
+
+    def ref(t):
+        return O.normal_solution_reference(traj, t)
+
+    h = 1e-6
+    y0 = np.zeros(4, dtype=complex)
+    y0[system.position((0, 0, 0, 1))] = ref(t0)
+    y0[system.position((0, 1, 0, 0))] = (ref(t0 + h) - ref(t0 - h)) / (2 * h)
+    ve = O.integrate_ve(system, traj, y0, rtol=rtol)
+    pos = system.position((0, 0, 0, 1))
+    dev = 0.0
+    for t in np.linspace(t0, float(traj.t[-1]), 80):
+        expect = ref(t)
+        dev = max(dev, abs(ve.at(t)[pos] - expect) / max(1.0, abs(expect)))
+    return dev
+
+
+@pytest.mark.parametrize("cfg", O.load_scenarios(), ids=lambda cfg: cfg["name"])
+def test_check_grids_match_per_point_loops(cfg):
+    from homopot.parse import parse_potential
+    from homopot.potential import jet_at
+    traj = O.integrate_orbit(O.params_from_config(cfg))
+    k, k0 = traj.params.k, traj.params.k0
+    assert O.pk_comparison(traj) == pytest.approx(_pk_comparison_per_point(traj), rel=1e-12)
+    level = cfg.get("ve_level", 1)
+    jet = jet_at(parse_potential(cfg["potential"]), (1, 0), level) if level > 1 else None
+    system = build_higher_ve(jet, level, k, lam=Q(cfg.get("lambda", k)), k0=k0,
+                             force_sign=-1)
+    rng = np.random.default_rng(7)
+    y0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    ve = O.integrate_ve(system, traj, y0)
+    assert ve.max_residual == pytest.approx(
+        _max_residual_per_point(system, traj, ve), rel=1e-12)
