@@ -19,8 +19,8 @@ from .monodromy import (CommutativityClass, LoopSpec, PeriodValue,
                         period_closed_form, period_quadrature)
 from .varequ import (VariationalSystem, VeExpr, build_higher_ve, monomial_basis,
                      sym_power_ve1, ve1_residual)
-from .polar import PolarVerdict, analyze_polar, critical_points, select_extremum
-from .report import AnalysisReport, analyze, batch
+from .polar import critical_points, select_extremum
+from .report import AnalysisReport, analyze, batch, polar_summary
 
 _ORBIT_NAMES = {"OrbitParams", "Trajectory", "integrate_orbit", "integrate_ve",
                 "time_change_check"}
@@ -36,14 +36,14 @@ def __getattr__(name):
 __all__ = [
     "AnalysisReport", "CommutativityClass", "DarbouxError",
     "DarbouxPoint", "DarbouxSet", "HomoPoly", "LoopSpec", "MoralesVerdict",
-    "OrbitParams", "ParseError", "PeriodValue", "PolarVerdict", "Potential",
+    "OrbitParams", "ParseError", "PeriodValue", "Potential",
     "PotentialError", "SingularPointError", "TableRow", "Trajectory", "TrigPoly",
-    "VariationalSystem", "VeExpr", "admissible", "analyze", "analyze_polar",
-    "batch", "build_higher_ve", "classify", "commutativity_class", "det_A",
+    "VariationalSystem", "VeExpr", "admissible", "analyze", "batch",
+    "build_higher_ve", "classify", "commutativity_class", "det_A",
     "direction_polynomial", "euler_defect", "find_darboux_points", "g_verdict",
     "integrate_orbit", "integrate_ve", "jet_at", "monomial_basis", "normalize",
     "parse_potential", "parse_trig_poly", "period_closed_form",
-    "period_quadrature", "print_potential", "reconstruct_rational",
+    "period_quadrature", "polar_summary", "print_potential", "reconstruct_rational",
     "select_extremum", "sym_power_ve1", "table_rows", "time_change_check",
     "transform", "ve1_residual", "critical_points",
 ]

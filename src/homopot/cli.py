@@ -12,12 +12,12 @@ import json
 import re
 import sys
 
-from . import __version__, morales, polar
+from . import __version__, morales
 from .darboux import DarbouxError, find_darboux_points, normalize
 from .monodromy import LoopSpec, g_verdict, period_closed_form, period_quadrature
 from .parse import parse_potential, parse_trig_poly
 from .potential import PotentialError, jet_at
-from .report import analyze, batch, report_json_text
+from .report import analyze, batch, polar_summary, report_json_text
 from .scalars import GaussianRational, parse_rational
 from .varequ import build_higher_ve
 
@@ -55,22 +55,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_polar_analyze(args) -> int:
     try:
-        U = parse_trig_poly(args.U)
-        verdict = polar.analyze_polar(U, args.k, args.k5_variant)
+        out = polar_summary(parse_trig_poly(args.U), args.k, args.k5_variant)
     except PotentialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        _dump(verdict.to_json())
+        _dump(out)
     else:
         print(f"U = {args.U}, k = {args.k}")
-        if verdict.theta0 is not None:
-            print(f"theta0 = {verdict.theta0:.12g}")
-        if verdict.point is not None and verdict.point.lam is not None:
-            print(f"lambda = {verdict.point.lam}")
-        print(f"classification: {verdict.classification}")
-        if verdict.note:
-            print(f"note: {verdict.note}")
+        if "theta0" in out:
+            print(f"theta0 = {out['theta0']:.12g}")
+        if "lambda" in out:
+            print(f"lambda = {out['lambda']}")
+        print(f"classification: {out['classification']}")
+        print(f"note: {out['note']}")
     return 0
 
 

@@ -255,16 +255,16 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
     """All Darboux points of V (one representative for radial continuums)."""
     _check_analysis_degree(V)
     k = V.degree
-    if V.U is not None:
-        return _polar_darboux_points(V.U, k)
-
-    g1, g2, q, e = _line_numerators(V)
-    W = _times_s(g1) - g2
-    if W.is_zero():  # grad V(q) is a multiple of q everywhere: V = a r^k
-        return _polar_darboux_points(TrigPoly(_radial_coefficient(V)), k)
-    dW = W.derivative()
-    points, degenerate = [], []
     try:
+        if V.U is not None:
+            return _polar_darboux_points(V.U, k)
+
+        g1, g2, q, e = _line_numerators(V)
+        W = _times_s(g1) - g2
+        if W.is_zero():  # grad V(q) is a multiple of q everywhere: V = a r^k
+            return _polar_darboux_points(TrigPoly(_radial_coefficient(V)), k)
+        dW = W.derivative()
+        points, degenerate = [], []
         for r in roots(W):
             s, m = r.value, r.multiplicity
             qs = q(s)

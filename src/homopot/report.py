@@ -9,17 +9,21 @@ Overall verdicts:
 * non_integrable_by_morales_ramis - some Darboux point carries an
   eigenvalue outside the table, or a multiple Darboux point exists on a
   potential that is not rotation-invariant (uniqueness of the radial
-  case), or V = r^k U(theta) has k < 0, k != -2 (`polar.analyze_polar`).
+  case), or V = r^k U(theta) has k < 0, k != -2 (the extremum theorem
+  of `polar`).
 * multiple_point_radial_candidate - the rotation-invariant potential:
   a continuum of multiple Darboux points, integrable via the angular
   momentum.
 * indeterminate - some eigenvalue could not be pinned to a rational.
 * passes_first_order_tests - every eigenvalue is admissible.
+
+`polar_summary` is the `polar-analyze` view of a polar report.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +33,10 @@ from . import __version__
 from .darboux import DarbouxSet, find_darboux_points
 from .morales import K5_PRINTED, ST_INADMISSIBLE, ST_INDETERMINATE, eigenvalue_verdict
 from .parse import parse_potential
-from .potential import Potential, PotentialError, potential_to_json, potential_from_json
-from .scalars import GaussianRational
+from .polar import PolarError, select_extremum
+from .potential import (Potential, PotentialError, TrigPoly, potential_to_json,
+                        potential_from_json)
+from .scalars import GaussianRational, to_complex
 
 NON_INTEGRABLE = "non_integrable_by_morales_ramis"
 PASSES = "passes_first_order_tests"
@@ -152,7 +158,7 @@ def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
         notes.append("multiple Darboux point on a non-radial potential: only the "
                      "rotation-invariant potential admits one while integrable")
     elif V.U is not None and V.degree < 0 and V.degree != -2:
-        # the theorem of polar.analyze_polar; U is not constant here, and
+        # the extremum theorem of polar; U is not constant here, and
         # with no multiple point its extremum needs no root to be known simple
         verdict = NON_INTEGRABLE
         notes.append("no Darboux point is multiple, so the extremum of U is simple: "
@@ -168,6 +174,51 @@ def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
         input_text=text, potential=V, verdict=verdict, darboux=dset,
         point_verdicts=point_verdicts, notes=notes,
         elapsed_seconds=time.perf_counter() - started)
+
+
+_POLAR_NOTES = {
+    "degree_minus_two_integrable": "every planar homogeneous potential of degree -2 "
+                                   "is meromorphically integrable",
+    "radial_integrable": "rotation-invariant potential; the angular momentum "
+                         "is a first integral",
+    "multiple_point_found": "U''(theta0) = 0: multiple Darboux point; only the "
+                            "rotation-invariant potential is integrable with one",
+    "non_integrable": "Hessian eigenvalue at the extremal Darboux point is not in the "
+                      "admissibility table",
+}
+
+
+def polar_summary(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> dict:
+    """The `polar-analyze` object for V = r^k U(theta) with k < 0: the
+    verdict of `analyze` and its point at the extremum theta0 of U.
+
+    An exact lambda, or that of a multiple point, comes with the point's
+    table verdict; a float lambda at a simple point is reported as the
+    point holds it, never as the report's rational reconstruction."""
+    if k >= 0:
+        raise PolarError("the polar classification applies to negative degrees only")
+    rep = analyze(Potential.polar(U, k), k5_variant)
+    if k == -2 or rep.verdict == RADIAL_CANDIDATE:
+        kind = "degree_minus_two_integrable" if k == -2 else "radial_integrable"
+        return {"classification": kind, "k": k, "note": _POLAR_NOTES[kind]}
+    if rep.verdict != NON_INTEGRABLE:
+        raise PolarError(f"analyze gave {rep.verdict} for r^{k} U, against the extremum theorem")
+    theta0 = select_extremum(U).theta
+
+    def off_theta0(pair):  # for k < 0, Re gamma > 0, so Re c points along the ray
+        c0, c1 = (to_complex(v).real for v in pair[0].c)
+        return abs((math.atan2(c1, c0) - theta0 + math.pi) % (2 * math.pi) - math.pi)
+
+    p, pv = min(zip(rep.darboux.points, rep.point_verdicts), key=off_theta0)
+    kind = "multiple_point_found" if p.multiple else "non_integrable"
+    out = {"classification": kind, "k": k, "note": _POLAR_NOTES[kind], "theta0": theta0}
+    if not (p.multiple or isinstance(p.spectrum[1], GaussianRational)):
+        return {**out, "lambda": p.spectrum[1], "lambda_exact": False}
+    point = pv.to_json()
+    if p.multiple:
+        point.pop("morales", None)  # the theorem decides a multiple point, not the table
+    return {**out, **{key: point[key] for key in ("lambda", "lambda_exact", "morales")
+                      if key in point}}
 
 
 # -- batch runs ---------------------------------------------------------------

@@ -15,12 +15,11 @@ import pytest
 from homopot import monodromy as M
 from homopot import morales
 from homopot import orbit as O
-from homopot import polar
 from homopot.cli import main
 from homopot.darboux import classify
 from homopot.parse import parse_trig_poly
 from homopot.potential import jet_at
-from homopot.report import RADIAL_CANDIDATE, analyze
+from homopot.report import RADIAL_CANDIDATE, analyze, polar_summary
 from homopot.scalars import gr
 from homopot.varequ import VeExpr, build_higher_ve, sym_power_ve1, ve1_residual
 
@@ -241,10 +240,9 @@ def test_criterion_11_polar_pipeline(capsys):
     js = json.loads(out)
     assert js["classification"] == "non_integrable"
     assert js["lambda"] == "-37/11" and js["lambda_exact"] is True
-    assert polar.analyze_polar(parse_trig_poly("5"), -3).classification == \
-        polar.RADIAL_INTEGRABLE
-    assert polar.analyze_polar(parse_trig_poly("1 + 1/10*cos(2*theta)"), -2) \
-        .classification == polar.DEGREE_MINUS_TWO
+    assert polar_summary(parse_trig_poly("5"), -3)["classification"] == "radial_integrable"
+    assert polar_summary(parse_trig_poly("1 + 1/10*cos(2*theta)"), -2)["classification"] \
+        == "degree_minus_two_integrable"
     with capsys.disabled():
         report(11, "polar-analyze CLI: witness lambda = -37/11 non-integrable; "
                    "constant U radial; k=-2 unconditionally integrable")

@@ -108,6 +108,8 @@ def _case(text, outcome, name=None):
     # exact points beyond double range cannot be sorted in doubles
     _case(f"1/{10**2500}*q1^3 + {10**2500}*q2^3", "DarbouxError",
           "1/10^2500*q1^3 + 10^2500*q2^3"),
+    # a polar coefficient beyond double range: |U| of the critical-point search overflows
+    _case("r^-3*(10^400*cos(theta))", "DarbouxError"),
 ])
 def test_analyze_finishes_in_bounded_time(text, outcome):
     # large end coefficients must not cost a search over their divisors;
@@ -346,6 +348,7 @@ def test_cli_darboux_text_is_golden(capsys):
     (["monodromy-period", "--alpha", "-1", "--j", "1"], "negative integer alpha"),
     (["monodromy-period", "--alpha", "1/3", "--j", "1", "--quad-tol", "1e-13"],
      "1e-12 floor"),
+    (["polar-analyze", "--U", "10^400*cos(theta)", "--k", "-3"], "beyond double precision"),
 ])
 def test_cli_error_exits(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

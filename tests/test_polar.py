@@ -1,17 +1,18 @@
-"""The polar classification: critical points, extremum selection, verdicts,
-and agreement with the Cartesian Darboux machinery."""
+"""The polar classification: critical points, extremum selection, the
+`polar_summary` view of the report, and agreement with the Cartesian
+Darboux machinery."""
 
 import math
 from fractions import Fraction as Q
 
 import pytest
 
-from homopot import polar
+from homopot import polar, report
 from homopot.darboux import classify, find_darboux_points
 from homopot.parse import parse_potential, parse_trig_poly
 from homopot.potential import Potential, TrigPoly
-from homopot.report import NON_INTEGRABLE as REPORT_NON_INTEGRABLE, analyze
-from homopot.scalars import gr, to_complex
+from homopot.report import NON_INTEGRABLE as REPORT_NON_INTEGRABLE, analyze, polar_summary
+from homopot.scalars import GaussianRational, gr, to_complex
 
 
 def U_example():
@@ -66,8 +67,7 @@ def test_select_extremum_ignores_the_scale_of_U(scale):
         p = polar.select_extremum(V)
         assert p.theta == pytest.approx(math.pi / 2, abs=1e-12)
         assert polar.eigenvalue_at(V, -3, p.z) == Q(-13, 3)
-    verdict = polar.analyze_polar(scaled, -3)
-    assert verdict.point.lam == Q(-13, 3)
+    assert polar_summary(scaled, -3)["lambda"] == "-13/3"
 
 
 def test_selected_extremum_guarantees(rng):
@@ -89,41 +89,45 @@ def test_selected_extremum_guarantees(rng):
 
 
 def test_analyze_example_exact():
-    v = polar.analyze_polar(U_example(), -3)
-    assert v.classification == polar.NON_INTEGRABLE
-    assert v.point.lam == Q(-37, 11) and v.point.lam_exact
-    assert v.point.morales is not None and not v.point.morales.admissible
+    out = polar_summary(U_example(), -3)
+    assert out["classification"] == "non_integrable" and out["theta0"] == 0.0
+    assert out["lambda"] == "-37/11" and out["lambda_exact"] is True
+    assert out["morales"]["lambda"] == "-37/11" and out["morales"]["admissible"] is False
 
 
 def test_analyze_radial_and_degree_minus_two():
-    assert polar.analyze_polar(parse_trig_poly("5"), -3).classification == \
-        polar.RADIAL_INTEGRABLE
-    assert polar.analyze_polar(U_example(), -2).classification == \
-        polar.DEGREE_MINUS_TWO
-    assert polar.analyze_polar(parse_trig_poly("5"), -2).classification == \
-        polar.DEGREE_MINUS_TWO
+    assert polar_summary(parse_trig_poly("5"), -3)["classification"] == "radial_integrable"
+    assert polar_summary(U_example(), -2)["classification"] == "degree_minus_two_integrable"
+    assert polar_summary(parse_trig_poly("5"), -2)["classification"] == \
+        "degree_minus_two_integrable"
+    for out in (polar_summary(parse_trig_poly("5"), -3), polar_summary(U_example(), -2)):
+        assert set(out) == {"classification", "k", "note"}
 
 
 def test_analyze_rejects_nonnegative_degree():
-    with pytest.raises(polar.PolarError):
-        polar.analyze_polar(U_example(), 3)
+    # analyze accepts k = 1 and 3 and rejects k = 0 and 2 in its own words
+    for k in (0, 1, 2, 3):
+        with pytest.raises(polar.PolarError, match="negative degrees only"):
+            polar_summary(U_example(), k)
 
 
 def test_multiple_point_detection():
     # U = 1 - sin^4: quartic-flat maximum at 0 gives U''(theta0) = 0
     U = parse_trig_poly("5/8 + 1/2*cos(2*theta) - 1/8*cos(4*theta)")
-    v = polar.analyze_polar(U, -3)
-    assert v.classification == polar.MULTIPLE_POINT
-    assert v.point.lam == Q(-3)
+    out = polar_summary(U, -3)
+    assert out["classification"] == "multiple_point_found"
+    assert out["lambda"] == "-3" and out["lambda_exact"] is True
+    assert "morales" not in out  # the theorem decides a multiple point, not the table
 
 
 def test_float_lambda_at_simple_extremum():
     # irrational extremum angle: a float lambda < k decides without the table
     U = parse_trig_poly("1 + 1/10*cos(3*theta) + 1/20*sin(2*theta)")
-    v = polar.analyze_polar(U, -3)
-    assert v.classification == polar.NON_INTEGRABLE
-    assert not v.point.lam_exact and v.point.lam < -3 and v.point.morales is None
-    assert v.point.status == "inadmissible"
+    out = polar_summary(U, -3)
+    assert out["classification"] == "non_integrable"
+    assert out["lambda_exact"] is False and out["lambda"] < -3 and "morales" not in out
+    assert out["lambda"] == polar.eigenvalue_at(U, -3, polar.select_extremum(U).z)
+    assert analyze(Potential.polar(U, -3)).verdict == REPORT_NON_INTEGRABLE
 
 
 def test_extremum_ties_only_within_the_part_of_U_that_varies():
@@ -134,9 +138,9 @@ def test_extremum_ties_only_within_the_part_of_U_that_varies():
     theta0 = polar.select_extremum(U).theta
     assert theta0 == pytest.approx(5.8104, abs=1e-4)
     assert W.evaluate(theta0) == max(W.evaluate(p.theta) for p in polar.critical_points(U))
-    v = polar.analyze_polar(U, -3)
-    assert v.theta0 == theta0 and v.classification == polar.NON_INTEGRABLE
-    assert v.point.lam < -3
+    out = polar_summary(U, -3)
+    assert out["theta0"] == theta0 and out["classification"] == "non_integrable"
+    assert out["lambda_exact"] is False and out["lambda"] < -3
 
 
 def test_near_radial_float_lambda_is_never_rounded():
@@ -145,27 +149,55 @@ def test_near_radial_float_lambda_is_never_rounded():
     report = analyze(f"r^-3*({text})")
     assert report.verdict == REPORT_NON_INTEGRABLE
     assert any("no table value lies below k" in note for note in report.notes)
-    out = polar.analyze_polar(parse_trig_poly(text), -3).to_json()
-    assert out["classification"] == polar.NON_INTEGRABLE
+    out = polar_summary(parse_trig_poly(text), -3)
+    assert out["classification"] == "non_integrable"
     assert out["lambda_exact"] is False and isinstance(out["lambda"], float)
     assert out["lambda"] < -3 and "morales" not in out
 
 
-def test_analyze_and_analyze_polar_agree_on_negative_degree(rng):
-    # the extremum theorem: a real non-constant U with k < 0, k != -2 is
-    # not integrable, whatever the table makes of the other points
+def test_polar_summary_sweep_follows_the_extremum_theorem(rng):
+    # a real non-constant U with k < 0, k != -2 is not integrable, whatever
+    # the table makes of the other points; a float lambda at the extremum is
+    # reported as the point holds it, never as a rational reconstruction
+    # (on -3 + 3*cos(4*theta), lambda = -11 is reached at theta0 = pi/4 in floats)
+    Us = [parse_trig_poly("-3 + 3*cos(4*theta)")]
     for _ in range(25):
-        U = TrigPoly(Q(rng.randint(-3, 3)),
-                     cos={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
-                          for m in rng.sample([1, 2, 3, 4], k=2)},
-                     sin={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
-                          for m in rng.sample([1, 2, 3], k=1)})
+        Us.append(TrigPoly(Q(rng.randint(-3, 3)),
+                           cos={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                                for m in rng.sample([1, 2, 3, 4], k=2)},
+                           sin={m: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                                for m in rng.sample([1, 2, 3], k=1)}))
+    for U in Us:
         if U.is_constant():
             continue
+        extremum = polar.select_extremum(U)
         for k in (-1, -3, -4, -5, -7):
             assert analyze(Potential.polar(U, k)).verdict == REPORT_NON_INTEGRABLE, (U, k)
-            v = polar.analyze_polar(U, k)
-            assert v.classification in (polar.NON_INTEGRABLE, polar.MULTIPLE_POINT), (U, k)
+            out = polar_summary(U, k)
+            assert out["classification"] in ("non_integrable", "multiple_point_found"), (U, k)
+            assert out["theta0"] == extremum.theta
+            lam = polar.eigenvalue_at(U, k, extremum.z)
+            if out["classification"] == "non_integrable":
+                assert out["lambda_exact"] is isinstance(lam, GaussianRational), (U, k)
+            if out["lambda_exact"]:
+                assert Q(out["lambda"]) <= k, (U, k)
+            else:
+                assert isinstance(out["lambda"], float) and out["lambda"] == lam, (U, k)
+                assert out["lambda"] <= k + 1e-9 * abs(k) and "morales" not in out, (U, k)
+
+
+def test_polar_summary_refuses_a_verdict_against_the_theorem(monkeypatch):
+    # the view reads the report's verdict out; it never maps an unexpected one
+    analyze_as_is = report.analyze
+
+    def analyze_passes(V, k5_variant):
+        rep = analyze_as_is(V, k5_variant)
+        rep.verdict = report.PASSES
+        return rep
+
+    monkeypatch.setattr(report, "analyze", analyze_passes)
+    with pytest.raises(polar.PolarError, match="passes_first_order_tests"):
+        polar_summary(U_example(), -3)
 
 
 @pytest.mark.parametrize("scale", ["1/10^13", "1", "10^20"])
@@ -178,8 +210,8 @@ def test_polar_points_ignore_the_scale_of_U(scale):
     assert len(lams[0]) == len(lams[1]) == 4
     assert all(abs(a - b) <= 1e-14 * abs(a) for a, b in zip(*lams))
     assert analyze(Potential.polar(scaled, -3)).verdict == REPORT_NON_INTEGRABLE
-    assert polar.analyze_polar(scaled, -3).theta0 == \
-        pytest.approx(polar.analyze_polar(U, -3).theta0, abs=1e-12)
+    assert polar_summary(scaled, -3)["theta0"] == \
+        pytest.approx(polar_summary(U, -3)["theta0"], abs=1e-12)
 
 
 def _angle(p):
@@ -239,5 +271,5 @@ def test_exact_eigenvalue_on_a_pythagorean_direction():
     assert abs(25 * c0 - 7 * abs(c0 + 1j * c1)) < 1e-12
     ref = classify(V, p.c)
     assert abs(to_complex(ref.spectrum[1]) + 5.5) < 1e-9
-    v = polar.analyze_polar(V.U, -5)
-    assert v.point.lam == Q(-11, 2) and v.point.lam_exact
+    out = polar_summary(V.U, -5)
+    assert out["lambda"] == "-11/2" and out["lambda_exact"] is True
