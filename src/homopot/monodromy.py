@@ -208,8 +208,8 @@ def period_quadrature(spec: LoopSpec, alpha, tol: float = 1e-10) -> PeriodValue:
     because no piece turns either factor by pi or more.
     """
     alpha = Q(alpha)
-    if tol < 1e-12:
-        raise ValueError("tol below the 1e-12 floor of the quadrature")
+    if not tol >= 1e-12:  # NaN too: it would bisect every piece to depth 24
+        raise ValueError(f"tol {tol} is not at or above the 1e-12 floor of the quadrature")
     pieces = spec.pieces()
     alpha_f = float(alpha)
     piece_tol = tol / max(1, len(pieces)) / 4

@@ -108,14 +108,19 @@ _K5_B = {
 }
 
 
+def check_k5_variant(k5_variant: str):
+    """Refuse a k5_variant that names no shipped k = 5 row, whatever k is."""
+    if k5_variant not in _K5_B:
+        raise ValueError(f"unknown k5 variant {k5_variant!r}")
+
+
 @cache
 def table_rows(k: int, k5_variant: str = K5_PRINTED) -> tuple:
     """Every table row applicable to degree k, built once per (k, variant)
     and shared: a tuple of frozen rows, so no caller can change it."""
     if k == 0:
         raise ValueError("degree k = 0 has no table")
-    if k == 5 and k5_variant not in _K5_B:
-        raise ValueError(f"unknown k5 variant {k5_variant!r}")
+    check_k5_variant(k5_variant)
     rows = [
         TableRow("family 1", k, Q(k - 2), Q(2 * k), "i*k*(i*k + k - 2)/2"),
         TableRow("family 2", k, Q(k), Q(2 * k), "(i*k + k - 1)*(i*k + 1)/2"),

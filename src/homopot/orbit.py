@@ -40,13 +40,9 @@ class OrbitParams:
     k: int
     k0: int = 1
     phi0: float = 1.5
-    phidot0: Optional[float] = None   # None: from the first integral, sign below
-    phidot_sign: int = 1
+    phidot0: Optional[float] = None   # None: the positive root of the first integral
     t_span: tuple = (0.0, 5.0)
-    rtol: float = 1e-12
-    atol: float = 1e-14
     collision_guard: float = 1e-4
-    n_samples: int = 400
 
     def __post_init__(self):
         if self.k == 0:
@@ -67,7 +63,7 @@ def initial_phidot(p: OrbitParams) -> float:
     if rest < 0:
         raise OrbitError(
             f"phi0 = {p.phi0} is outside the energy-1 region (phi^(k0 k) > 1)")
-    return p.phidot_sign * math.sqrt(2.0 * rest) / (p.k0 * p.phi0 ** (p.k0 - 1))
+    return math.sqrt(2.0 * rest) / (p.k0 * p.phi0 ** (p.k0 - 1))
 
 
 def _acceleration(k: int, k0: int, phi: float, phidot: float) -> float:
@@ -109,7 +105,8 @@ class Trajectory:
 
 
 def integrate_orbit(p: OrbitParams) -> Trajectory:
-    """Adaptive high-order integration with a drift log of the first integral."""
+    """Adaptive high-order integration (DOP853, rtol 1e-12, atol 1e-14) with
+    a drift log of the first integral on 400 samples."""
     phidot0 = p.phidot0 if p.phidot0 is not None else initial_phidot(p)
     f0 = first_integral(p.k, p.k0, p.phi0, phidot0)
 
@@ -126,14 +123,14 @@ def integrate_orbit(p: OrbitParams) -> Trajectory:
         events.append(collision)
 
     sol = solve_ivp(rhs, p.t_span, [p.phi0, phidot0], method="DOP853",
-                    rtol=p.rtol, atol=p.atol, dense_output=True, events=events)
+                    rtol=1e-12, atol=1e-14, dense_output=True, events=events)
     if not sol.success:
         raise OrbitError(f"integration failed: {sol.message}")
     if sol.status == 1:
         raise OrbitError(
             f"orbit reached the collision guard phi = {p.collision_guard} "
             f"at t = {sol.t_events[0][0]:.6g}")
-    ts = np.linspace(p.t_span[0], sol.t[-1], p.n_samples)
+    ts = np.linspace(p.t_span[0], sol.t[-1], 400)
     phi, phidot = sol.sol(ts)
     drift = np.abs(first_integral(p.k, p.k0, phi, phidot) - f0)
     return Trajectory(params=p, t=ts, phi=phi, phidot=phidot,
@@ -162,21 +159,18 @@ class VeSolution:
         return self.sol.sol(t)
 
 
-def _compile_rhs(system: VariationalSystem, symbols: Optional[dict] = None):
+def _compile_rhs(system: VariationalSystem):
     table = dict(system.d_values or {})
-    if symbols:
-        table.update(symbols)
     if system.lam is not None:
         table.setdefault("lam", complex(float(system.lam)))
     compiled = []
     for (src, tgt), coef in system.transitions.items():
-        for val, e, syms in coef.entries():
-            factor = complex(float(val))
-            for s in syms:
-                if s not in table:
-                    raise OrbitError(f"symbol {s} has no numeric value bound")
-                factor *= complex(table[s])
-            compiled.append((src, tgt, factor, e))
+        factor = complex(float(coef.q))
+        for s in coef.syms:
+            if s not in table:
+                raise OrbitError(f"symbol {s} has no numeric value bound")
+            factor *= complex(table[s])
+        compiled.append((src, tgt, factor, coef.phi_exp))
     dim = system.dim
 
     def matrix(phi: complex) -> np.ndarray:
@@ -188,17 +182,17 @@ def _compile_rhs(system: VariationalSystem, symbols: Optional[dict] = None):
     return matrix
 
 
-def integrate_ve(system: VariationalSystem, traj: Trajectory, y0,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 symbols: Optional[dict] = None, n_check: int = 60) -> VeSolution:
-    """Integrate dy/dt = A(phi(t)) y along the orbit and measure the defect.
+def integrate_ve(system: VariationalSystem, traj: Trajectory, y0) -> VeSolution:
+    """Integrate dy/dt = A(phi(t)) y along the orbit (DOP853, rtol 1e-10,
+    atol 1e-12) and measure the defect.
 
-    The residual is || d/dt y_interp - A(phi) y_interp || sampled along
-    the span, using the integrator's dense output.
+    The residual is || d/dt y_interp - A(phi) y_interp || sampled at 60
+    points of the span, using the integrator's dense output.  Every symbol
+    of the system needs a value from its jet (and lambda from system.lam).
     """
     if system.level > 3:
         raise ValueError("variational integration is guarded to levels <= 3")
-    matrix = _compile_rhs(system, symbols)
+    matrix = _compile_rhs(system)
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     y0 = np.asarray(y0, dtype=complex)
     if y0.shape != (system.dim,):
@@ -207,7 +201,7 @@ def integrate_ve(system: VariationalSystem, traj: Trajectory, y0,
     def rhs(t, y):
         return matrix(traj.phi_at(t)) @ y
 
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True)
     if not sol.success:
         raise OrbitError(f"variational integration failed: {sol.message}")
@@ -216,7 +210,7 @@ def integrate_ve(system: VariationalSystem, traj: Trajectory, y0,
     ys = sol.sol(ts)
     span = t1 - t0
     h = max(1e-7, 1e-7 * span)
-    check_ts = np.linspace(t0 + 2 * h, t1 - 2 * h, n_check)
+    check_ts = np.linspace(t0 + 2 * h, t1 - 2 * h, 60)
     ycs = sol.sol(check_ts)
     dys = (sol.sol(check_ts + h) - sol.sol(check_ts - h)) / (2 * h)
     worst = 0.0
@@ -233,7 +227,7 @@ def normal_solution_reference(traj: Trajectory, t) -> complex:
     return complex(s * s - 1.0) ** (1.0 / k)
 
 
-def pk_comparison(traj: Trajectory, rtol: float = 1e-10) -> float:
+def pk_comparison(traj: Trajectory) -> float:
     """Integrate the level-1 normal equation (lambda = k, physical sign)
     from P_k-matched data and return the max relative deviation from
     (s^2-1)^{1/k}."""
@@ -252,7 +246,7 @@ def pk_comparison(traj: Trajectory, rtol: float = 1e-10) -> float:
     y0 = np.zeros(4, dtype=complex)
     y0[system.position((0, 0, 0, 1))] = x0
     y0[system.position((0, 1, 0, 0))] = dx0
-    ve = integrate_ve(system, traj, y0, rtol=rtol)
+    ve = integrate_ve(system, traj, y0)
     ts = np.linspace(t0, float(traj.t[-1]), 80)
     dev = 0.0
     for s, got in zip(traj.s_at(ts), ve.at(ts)[system.position((0, 0, 0, 1))]):
@@ -276,14 +270,16 @@ def load_scenarios() -> list:
 
 
 def params_from_config(cfg: dict) -> OrbitParams:
+    """Orbit parameters from the scenario keys k, phi0, k0 and t_span."""
+    for key in ("rtol", "atol", "phidot_sign"):
+        if key in cfg:
+            raise ValueError(f"scenario key {key!r} is not accepted: the orbit "
+                             "tolerances and the sign of phidot are fixed")
     return OrbitParams(
         k=int(cfg["k"]),
         k0=int(cfg.get("k0", 1)),
         phi0=float(cfg["phi0"]),
-        phidot_sign=int(cfg.get("phidot_sign", 1)),
         t_span=tuple(cfg.get("t_span", (0.0, 5.0))),
-        rtol=float(cfg.get("rtol", 1e-12)),
-        atol=float(cfg.get("atol", 1e-14)),
     )
 
 

@@ -31,7 +31,8 @@ from typing import Optional
 
 from . import __version__
 from .darboux import DarbouxSet, find_darboux_points
-from .morales import K5_PRINTED, ST_INADMISSIBLE, ST_INDETERMINATE, eigenvalue_verdict
+from .morales import (K5_PRINTED, ST_INADMISSIBLE, ST_INDETERMINATE, check_k5_variant,
+                      eigenvalue_verdict)
 from .parse import parse_potential
 from .polar import PolarError, select_extremum
 from .potential import (Potential, PotentialError, TrigPoly, potential_to_json,
@@ -125,6 +126,7 @@ def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
     """The full pipeline: parse, locate Darboux points, classify, test the
     table (or, for r^k U with k < 0, the extremum of U), aggregate."""
     started = time.perf_counter()
+    check_k5_variant(k5_variant)
     if isinstance(source, Potential):
         V = source
         try:

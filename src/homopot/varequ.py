@@ -14,7 +14,9 @@ smaller index sum, so the system is block-triangular and its top block
 is the l-th symmetric power of the first-order equation.  A tail term of
 order i lifts y[n] to order |n| - 1 + i, so it is formed only for
 i <= l - |n| + 1 and no target leaves level l.  Coefficients stay
-symbolic in the d_{i,j}; a jet supplies their numeric values.
+symbolic in the d_{i,j}; a jet supplies their numeric values.  Each
+transition is reached by exactly one of these rules, so its coefficient
+is one term  q * (product of symbols) * phi^e.
 """
 
 from __future__ import annotations
@@ -33,69 +35,41 @@ LAMBDA_SYMBOL = "lam"
 
 
 class Coef:
-    """Finite sum of  rational * (product of symbols) * phi^e  terms."""
+    """One term  q * (product of symbols) * phi^e;  zero when q == 0."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("q", "phi_exp", "syms")
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        for key, val in (terms or {}).items():
-            if val != 0:
-                self.terms[key] = val
+    def __init__(self, q: Fraction, phi_exp: int = 0, syms: tuple = ()):
+        self.q = q
+        self.phi_exp, self.syms = (phi_exp, syms) if q else (0, ())
 
     @staticmethod
     def zero() -> "Coef":
-        return Coef()
+        return Coef(Q(0))
 
     @staticmethod
     def rational(q, phi_exp: int = 0, syms: tuple = ()) -> "Coef":
-        q = Q(q)
-        if q == 0:
-            return Coef()
-        return Coef({(phi_exp, tuple(sorted(syms))): q})
-
-    def __add__(self, other: "Coef") -> "Coef":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, Q(0)) + val
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Coef(out)
+        return Coef(Q(q), phi_exp, tuple(sorted(syms)))
 
     def scale(self, q) -> "Coef":
-        q = Q(q)
-        return Coef({key: val * q for key, val in self.terms.items()})
+        return Coef(self.q * Q(q), self.phi_exp, self.syms)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def involves(self, name: str) -> bool:
-        return any(name in syms for (_, syms) in self.terms)
+        return not self.q
 
     def __eq__(self, other):
-        return isinstance(other, Coef) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def entries(self):
-        """Deterministic (rational, phi_exp, symbols) triples."""
-        return [(val, e, syms) for (e, syms), val in sorted(self.terms.items())]
+        return (isinstance(other, Coef) and self.q == other.q
+                and self.phi_exp == other.phi_exp and self.syms == other.syms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.q:
             return "0"
-        bits = []
-        for val, e, syms in self.entries():
-            b = str(val)
-            for s in syms:
-                b += f"*{s}"
-            if e:
-                b += f"*phi^{e}"
-            bits.append(b)
-        return " + ".join(bits)
+        b = str(self.q)
+        for s in self.syms:
+            b += f"*{s}"
+        if self.phi_exp:
+            b += f"*phi^{self.phi_exp}"
+        return b
 
 
 def monomial_basis(l: int):
@@ -129,7 +103,7 @@ class VariationalSystem:
     lam: Optional[Fraction]           # None when lambda stays symbolic
     force_sign: int
     indices: list
-    transitions: dict = field(repr=False)   # (src_pos, tgt_pos) -> Coef
+    transitions: dict = field(repr=False)   # (src_pos, tgt_pos) -> nonzero Coef
     d_values: Optional[dict] = None         # symbol -> numeric value, from the jet
 
     @property
@@ -149,8 +123,8 @@ class VariationalSystem:
     def block_triangular_violations(self):
         """Transitions whose target has a smaller index sum (must be none)."""
         bad = []
-        for (src, tgt), coef in self.transitions.items():
-            if not coef.is_zero() and self.order_of(tgt) < self.order_of(src):
+        for src, tgt in self.transitions:
+            if self.order_of(tgt) < self.order_of(src):
                 bad.append((self.indices[src], self.indices[tgt]))
         return bad
 
@@ -169,19 +143,15 @@ class VariationalSystem:
         """Where a d-symbol appears, as (source index, target index) pairs."""
         return sorted((self.indices[s], self.indices[t])
                       for (s, t), coef in self.transitions.items()
-                      if coef.involves(name))
+                      if name in coef.syms)
 
     def to_json(self) -> dict:
-        entries = []
-        for (src, tgt), coef in sorted(self.transitions.items()):
-            for val, e, syms in coef.entries():
-                entries.append({
-                    "from": list(self.indices[src]),
+        entries = [{"from": list(self.indices[src]),
                     "to": list(self.indices[tgt]),
-                    "coef": str(val),
-                    "phi_exp": e,
-                    "d_symbols": list(syms),
-                })
+                    "coef": str(coef.q),
+                    "phi_exp": coef.phi_exp,
+                    "d_symbols": list(coef.syms)}
+                   for (src, tgt), coef in sorted(self.transitions.items())]
         return {
             "level": self.level,
             "k": self.k,
@@ -234,13 +204,13 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
     e_hom = k0 * (k - 2)
     lam_hom = _lambda_coef(lam_q, e_hom, force_sign)
     # tails[i - 2] lists, for j = 0..i, the shift (i - j, j) of (n3, n4), the
-    # constant force_sign/((i-j)! j!), and the phi/symbol keys of d_{i,j}
-    # (the X1 equation) and d_{i,j+1} (the X2 equation)
+    # constant force_sign/((i-j)! j!), the phi exponent, and the symbols
+    # d_{i,j} (the X1 equation) and d_{i,j+1} (the X2 equation)
     tails = []
     for i in range(2, l + 1):
         e_tail = k0 * (k - 1 - i)
-        tails.append([(i - j, j, Q(force_sign, factorial(i - j) * factorial(j)),
-                       (e_tail, (f"d_{i}_{j}",)), (e_tail, (f"d_{i}_{j + 1}",)))
+        tails.append([(i - j, j, Q(force_sign, factorial(i - j) * factorial(j)), e_tail,
+                       (f"d_{i}_{j}",), (f"d_{i}_{j + 1}",))
                       for j in range(i + 1)])
 
     for src, idx in enumerate(indices):
@@ -257,14 +227,14 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
             if not hom.is_zero():
                 transitions[src, pos[n1 - 1, n2, n3 + 1, n4]] = hom
             for row in kept:
-                for di, dj, c, term, _ in row:
-                    transitions[src, pos[n1 - 1, n2, n3 + di, n4 + dj]] = Coef({term: n1 * c})
+                for di, dj, c, e, syms, _ in row:
+                    transitions[src, pos[n1 - 1, n2, n3 + di, n4 + dj]] = Coef(n1 * c, e, syms)
         if n2:
             if not lam_hom.is_zero():
                 transitions[src, pos[n1, n2 - 1, n3, n4 + 1]] = lam_hom.scale(n2)
             for row in kept:
-                for di, dj, c, _, term in row:
-                    transitions[src, pos[n1, n2 - 1, n3 + di, n4 + dj]] = Coef({term: n2 * c})
+                for di, dj, c, e, _, syms in row:
+                    transitions[src, pos[n1, n2 - 1, n3 + di, n4 + dj]] = Coef(n2 * c, e, syms)
 
     d_values = None
     if jet is not None:
@@ -300,6 +270,7 @@ def sym_power_ve1(l: int, k: int, lam=None, k0: int = 1, force_sign: int = 1):
     pos = {idx: p for p, idx in enumerate(stratum)}
     n = len(stratum)
     out = [[Coef.zero()] * n for _ in range(n)]
+    # M has no diagonal entries, so each (a, b) moves idx to its own target
     for idx in stratum:
         for a in range(4):
             if idx[a] == 0:
@@ -311,8 +282,7 @@ def sym_power_ve1(l: int, k: int, lam=None, k0: int = 1, force_sign: int = 1):
                 tgt = list(idx)
                 tgt[a] -= 1
                 tgt[b] += 1
-                out[pos[idx]][pos[tuple(tgt)]] = (
-                    out[pos[idx]][pos[tuple(tgt)]] + coef.scale(idx[a]))
+                out[pos[idx]][pos[tuple(tgt)]] = coef.scale(idx[a])
     return stratum, out
 
 

@@ -349,6 +349,8 @@ def test_cli_darboux_text_is_golden(capsys):
     (["monodromy-period", "--alpha", "1/3", "--j", "1", "--quad-tol", "1e-13"],
      "1e-12 floor"),
     (["polar-analyze", "--U", "10^400*cos(theta)", "--k", "-3"], "beyond double precision"),
+    (["monodromy-period", "--alpha", "-1/2", "--j", "1", "--quad-tol", "nan"],
+     "1e-12 floor"),
 ])
 def test_cli_error_exits(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -402,6 +404,13 @@ def test_analyze_honours_the_k5_variant(capsys, tmp_path):
     assert _axis_status(rep.to_json()) == "admissible"
     code, out, _ = run_cli(capsys, "batch", str(tmp_path), "--k5-variant", "tenj", "--json")
     assert code == 0 and _axis_status(json.loads(out)["reports"]["k5.pot"]) == "admissible"
+
+
+@pytest.mark.parametrize("source", ["q1^3", "q1^5 + q2^5", "not a potential"])
+def test_analyze_refuses_an_unknown_k5_variant_before_parsing(source):
+    with pytest.raises(ValueError, match="unknown k5 variant 'nonsense'") as info:
+        analyze(source, k5_variant="nonsense")
+    assert not isinstance(info.value, ParseError)
 
 
 def test_cli_monodromy_period(capsys):

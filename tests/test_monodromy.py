@@ -132,8 +132,10 @@ def test_quadrature_trivial_integrand():
 
 
 def test_quadrature_tol_floor():
-    with pytest.raises(ValueError):
-        M.period_quadrature(M.LoopSpec(1), Q(1, 3), 1e-13)
+    # NaN compares false with everything, so it must not slip past the floor
+    for tol in (1e-13, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="1e-12 floor"):
+            M.period_quadrature(M.LoopSpec(1), Q(1, 3), tol)
 
 
 def test_loop_pieces_structure():

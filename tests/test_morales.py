@@ -31,6 +31,14 @@ def test_k5_variant_rows():
     assert printed[-1].C == tenj[-1].C == Q(7, 8)
 
 
+@pytest.mark.parametrize("k", [3, -3, 5, 7])
+def test_unknown_k5_variant_is_refused_for_every_k(k):
+    with pytest.raises(ValueError, match="unknown k5 variant 'nonsense'"):
+        morales.table_rows(k, "nonsense")
+    with pytest.raises(ValueError, match="unknown k5 variant 'nonsense'"):
+        morales.admissible(k, 0, "nonsense")
+
+
 def test_table_rows_are_built_once_and_frozen():
     rows = morales.table_rows(-3)
     assert morales.table_rows(-3) is rows

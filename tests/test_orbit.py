@@ -114,6 +114,26 @@ def test_scenarios_ship_and_run(tmp_path):
     assert header == "t,phi,phidot,drift"
 
 
+def test_unbound_symbols_are_named():
+    # a structural system (no jet) leaves its d-symbols, and lambda when
+    # symbolic, without a numeric value
+    traj = O.integrate_orbit(O.OrbitParams(k=-3, phi0=2.0, t_span=(0.0, 1.0)))
+    system = build_higher_ve(None, 2, -3, lam=Q(-3), force_sign=-1)
+    with pytest.raises(O.OrbitError, match=r"symbol d_2_\d has no numeric value bound"):
+        O.integrate_ve(system, traj, np.zeros(system.dim, dtype=complex))
+    system = build_higher_ve(None, 1, -3, lam=None, force_sign=-1)
+    with pytest.raises(O.OrbitError, match="symbol lam has no numeric value bound"):
+        O.integrate_ve(system, traj, np.zeros(system.dim, dtype=complex))
+
+
+@pytest.mark.parametrize("key, value", [("rtol", 1e-8), ("atol", 1e-10),
+                                        ("phidot_sign", -1)])
+def test_fixed_settings_are_refused_in_scenarios(key, value):
+    cfg = dict(O.load_scenarios()[0], **{key: value})
+    with pytest.raises(ValueError, match=f"scenario key '{key}'"):
+        O.params_from_config(cfg)
+
+
 def test_level_guard():
     traj = O.integrate_orbit(O.OrbitParams(k=-3, phi0=2.0, t_span=(0.0, 1.0)))
     system = build_higher_ve(None, 4, -3, lam=Q(-3), force_sign=-1)
@@ -137,7 +157,7 @@ def _max_residual_per_point(system, traj, ve, n_check=60):
     return worst
 
 
-def _pk_comparison_per_point(traj, rtol=1e-10):
+def _pk_comparison_per_point(traj):
     # pk_comparison, one dense-output call per point
     p = traj.params
     system = build_higher_ve(None, 1, p.k, lam=Q(p.k), k0=p.k0, force_sign=-1)
@@ -150,7 +170,7 @@ def _pk_comparison_per_point(traj, rtol=1e-10):
     y0 = np.zeros(4, dtype=complex)
     y0[system.position((0, 0, 0, 1))] = ref(t0)
     y0[system.position((0, 1, 0, 0))] = (ref(t0 + h) - ref(t0 - h)) / (2 * h)
-    ve = O.integrate_ve(system, traj, y0, rtol=rtol)
+    ve = O.integrate_ve(system, traj, y0)
     pos = system.position((0, 0, 0, 1))
     dev = 0.0
     for t in np.linspace(t0, float(traj.t[-1]), 80):
