@@ -22,28 +22,16 @@ from .varequ import (VariationalSystem, VeExpr, build_higher_ve, monomial_basis,
 from .polar import critical_points, select_extremum
 from .report import AnalysisReport, analyze, batch, polar_summary
 
-_ORBIT_NAMES = {"OrbitParams", "Trajectory", "integrate_orbit", "integrate_ve",
-                "time_change_check"}
-
-
-def __getattr__(name):
-    # orbit pulls in scipy; load it only when actually used
-    if name in _ORBIT_NAMES:
-        from . import orbit
-        return getattr(orbit, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AnalysisReport", "CommutativityClass", "DarbouxError",
     "DarbouxPoint", "DarbouxSet", "HomoPoly", "LoopSpec", "MoralesVerdict",
-    "OrbitParams", "ParseError", "PeriodValue", "Potential",
-    "PotentialError", "SingularPointError", "TableRow", "Trajectory", "TrigPoly",
-    "VariationalSystem", "VeExpr", "admissible", "analyze", "batch",
-    "build_higher_ve", "classify", "commutativity_class", "det_A",
-    "direction_polynomial", "euler_defect", "find_darboux_points", "g_verdict",
-    "integrate_orbit", "integrate_ve", "jet_at", "monomial_basis", "normalize",
-    "parse_potential", "parse_trig_poly", "period_closed_form",
+    "ParseError", "PeriodValue", "Potential", "PotentialError",
+    "SingularPointError", "TableRow", "TrigPoly", "VariationalSystem",
+    "VeExpr", "admissible", "analyze", "batch", "build_higher_ve", "classify",
+    "commutativity_class", "det_A", "direction_polynomial", "euler_defect",
+    "find_darboux_points", "g_verdict", "jet_at", "monomial_basis",
+    "normalize", "parse_potential", "parse_trig_poly", "period_closed_form",
     "period_quadrature", "polar_summary", "print_potential", "reconstruct_rational",
-    "select_extremum", "sym_power_ve1", "table_rows", "time_change_check",
-    "transform", "ve1_residual", "critical_points",
+    "select_extremum", "sym_power_ve1", "table_rows", "transform",
+    "ve1_residual", "critical_points",
 ]

@@ -12,23 +12,33 @@ the time change under which the first variational equation becomes the
 hypergeometric-type equation with solutions (s^2-1)^{1/k}.  Integration
 in physical time uses the Hamiltonian sign (force_sign = -1 in the
 variational builder).
+
+Both are integrated by Taylor series on the same steps, in psi = phi^{k0}:
+psi'' = -k psi^{k-1} for every weight, s = psidot/sqrt2, and an entry
+c phi^e of a variational system is c psi^{e/k0}.  Powers of a series come
+from J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), and a step
+ends where the last two terms of the orbit series reach STEP_TOL (Jorba
+and Zou, Experimental Math. 14, 2005).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 from typing import Optional
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .varequ import VariationalSystem, build_higher_ve
 
 SQRT2 = math.sqrt(2.0)
+ORDER = 20          # Taylor order of every step
+# below the rounding of psi, because that of psidot is about ORDER/h larger
+STEP_TOL = 1e-17
 
 
 class OrbitError(RuntimeError):
@@ -51,6 +61,8 @@ class OrbitParams:
             raise ValueError("only weights k0 in {1, 2} arise here")
         if self.phi0 <= 0:
             raise ValueError("initial phi must be positive")
+        if not self.t_span[0] < self.t_span[1]:
+            raise ValueError("t_span must end after it starts")
 
 
 def first_integral(k: int, k0: int, phi, phidot):
@@ -66,100 +78,110 @@ def initial_phidot(p: OrbitParams) -> float:
     return math.sqrt(2.0 * rest) / (p.k0 * p.phi0 ** (p.k0 - 1))
 
 
-def _acceleration(k: int, k0: int, phi: float, phidot: float) -> float:
-    # from differentiating the first integral (equivalently ddot q = -grad V)
-    if k0 == 1:
-        return -k * phi ** (k - 1)
-    return (-(k / k0) * phi ** (k0 * k - 2 * k0 + 1)
-            - (k0 - 1) * phidot**2 / phi)
+def _miller(x, p, a):
+    """The next coefficient of p = x^a from the coefficients of x and those
+    p already has (Miller's recurrence; needs x[0] != 0)."""
+    n = len(p)
+    return sum(((a + 1) * j - n) * x[j] * p[n - j] for j in range(1, n + 1)) / (n * x[0])
+
+
+def _horner(c, tau):
+    """Value and derivative at tau of the polynomial with coefficients c."""
+    value = rate = 0.0
+    for coef in reversed(c):
+        rate = rate * tau + value
+        value = value * tau + coef
+    return value, rate
+
+
+def _grid(t0: float, t1: float, n: int) -> list:
+    return [t0 + (t1 - t0) * i / (n - 1) for i in range(n - 1)] + [t1]
 
 
 @dataclass
-class Trajectory:
-    params: OrbitParams
-    t: np.ndarray
-    phi: np.ndarray
-    phidot: np.ndarray
-    drift: np.ndarray = field(repr=False)
-    max_drift: float = 0.0
-    sol: object = field(default=None, repr=False)
+class _Piecewise:
+    """Dense output: step i starts at starts[i], and series[i][c] holds the
+    Taylor coefficients of component c in powers of t - starts[i]."""
+    starts: list = field(repr=False)
+    series: list = field(repr=False)
 
-    def phi_at(self, t):
-        return self.sol.sol(t)[0]
+    def _jets(self, t):
+        """(value, derivative) of every component at t."""
+        i = max(bisect_right(self.starts, t) - 1, 0)
+        return [_horner(c, t - self.starts[i]) for c in self.series[i]]
+
+
+@dataclass
+class Trajectory(_Piecewise):
+    """The orbit, whose one component is psi = phi^k0, with phi, phidot and
+    the drift of the first integral from its value at t[0] on the samples t."""
+    params: OrbitParams
+    t: list = field(repr=False)
+    phi: list = field(init=False, repr=False)
+    phidot: list = field(init=False, repr=False)
+    max_drift: float = field(init=False)
+
+    def __post_init__(self):
+        p = self.params
+        self.phi, self.phidot = map(list, zip(*map(self.state_at, self.t)))
+        f = [first_integral(p.k, p.k0, a, b) for a, b in zip(self.phi, self.phidot)]
+        self.max_drift = max(abs(v - f[0]) for v in f)
 
     def state_at(self, t):
-        out = self.sol.sol(t)
-        return out[0], out[1]
+        psi, psidot = self._jets(t)[0]
+        phi = psi ** (1 / self.params.k0)
+        return phi, psidot / (self.params.k0 * phi ** (self.params.k0 - 1))
 
     def s_at(self, t):
-        phi, phidot = self.state_at(t)
-        return self.params.k0 * phidot * phi ** (self.params.k0 - 1) / SQRT2
-
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "phi", "phidot", "drift"])
-            for row in zip(self.t, self.phi, self.phidot, self.drift):
-                w.writerow([f"{v:.16e}" for v in row])
+        return self._jets(t)[0][1] / SQRT2
 
 
 def integrate_orbit(p: OrbitParams) -> Trajectory:
-    """Adaptive high-order integration (DOP853, rtol 1e-12, atol 1e-14) with
-    a drift log of the first integral on 400 samples."""
+    """Taylor integration of order ORDER, sampled at 400 points."""
     phidot0 = p.phidot0 if p.phidot0 is not None else initial_phidot(p)
-    f0 = first_integral(p.k, p.k0, p.phi0, phidot0)
-
-    def rhs(t, y):
-        phi, phidot = y
-        return [phidot, _acceleration(p.k, p.k0, phi, phidot)]
-
-    events = []
-    if p.k < 0:
-        def collision(t, y):
-            return y[0] - p.collision_guard
-        collision.terminal = True
-        collision.direction = -1
-        events.append(collision)
-
-    sol = solve_ivp(rhs, p.t_span, [p.phi0, phidot0], method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True, events=events)
-    if not sol.success:
-        raise OrbitError(f"integration failed: {sol.message}")
-    if sol.status == 1:
-        raise OrbitError(
-            f"orbit reached the collision guard phi = {p.collision_guard} "
-            f"at t = {sol.t_events[0][0]:.6g}")
-    ts = np.linspace(p.t_span[0], sol.t[-1], 400)
-    phi, phidot = sol.sol(ts)
-    drift = np.abs(first_integral(p.k, p.k0, phi, phidot) - f0)
-    return Trajectory(params=p, t=ts, phi=phi, phidot=phidot,
-                      drift=drift, max_drift=float(drift.max()), sol=sol)
+    t0, t1 = map(float, p.t_span)
+    t, psi, psidot = t0, p.phi0 ** p.k0, p.k0 * p.phi0 ** (p.k0 - 1) * phidot0
+    guard = p.collision_guard ** p.k0 if p.k < 0 else -math.inf
+    starts, series = [], []
+    while t < t1:
+        x, power = [psi, psidot], [psi ** (p.k - 1)]
+        for n in range(ORDER - 1):
+            x.append(-p.k * power[n] / ((n + 1) * (n + 2)))
+            power.append(_miller(x, power, p.k - 1))
+        tol = STEP_TOL * max(1.0, abs(psi))
+        h = min([t1 - t] + [(tol / abs(x[j])) ** (1 / j) for j in (ORDER - 1, ORDER) if x[j]])
+        psi_end, psidot_end = _horner(x, h)
+        if not (t + h > t and math.isfinite(psi_end + psidot_end)):
+            raise OrbitError(f"integration failed at t = {t:.6g}")
+        if psi_end < guard <= psi:
+            raise OrbitError(f"orbit reached the collision guard phi = {p.collision_guard} "
+                             f"between t = {t:.6g} and {t + h:.6g}")
+        starts.append(t)
+        series.append([x])
+        t, psi, psidot = t1 if h == t1 - t else t + h, psi_end, psidot_end
+    return Trajectory(starts, series, p, _grid(t0, t1, 400))
 
 
 def time_change_check(traj: Trajectory) -> float:
     """max |s^2 - 1 + phi^{k0 k}| with s = k0 phidot phi^{k0-1}/sqrt2."""
-    p = traj.params
-    s = p.k0 * traj.phidot * traj.phi ** (p.k0 - 1) / SQRT2
-    defect = np.abs(s**2 - 1.0 + traj.phi ** (p.k0 * p.k))
-    return float(defect.max())
+    k, k0 = traj.params.k, traj.params.k0
+    return max(abs((k0 * pd * ph ** (k0 - 1) / SQRT2) ** 2 - 1.0 + ph ** (k0 * k))
+               for ph, pd in zip(traj.phi, traj.phidot))
 
 
 # -- variational systems along the orbit ------------------------------------
 
 
 @dataclass
-class VeSolution:
-    t: np.ndarray
-    y: np.ndarray            # shape (dim, len(t)), complex
+class VeSolution(_Piecewise):
     max_residual: float
-    sol: object = field(default=None, repr=False)
 
     def at(self, t):
-        return self.sol.sol(t)
+        return [value for value, _ in self._jets(t)]
 
 
 def _compile_rhs(system: VariationalSystem):
+    """(src, tgt, factor, a) for each entry factor * psi^a of A."""
     table = dict(system.d_values or {})
     if system.lam is not None:
         table.setdefault("lam", complex(float(system.lam)))
@@ -170,91 +192,71 @@ def _compile_rhs(system: VariationalSystem):
             if s not in table:
                 raise OrbitError(f"symbol {s} has no numeric value bound")
             factor *= complex(table[s])
-        compiled.append((src, tgt, factor, coef.phi_exp))
-    dim = system.dim
-
-    def matrix(phi: complex) -> np.ndarray:
-        A = np.zeros((dim, dim), dtype=complex)
-        for src, tgt, factor, e in compiled:
-            A[src, tgt] += factor * phi**e
-        return A
-
-    return matrix
+        compiled.append((src, tgt, factor, coef.phi_exp / system.k0))
+    return compiled
 
 
 def integrate_ve(system: VariationalSystem, traj: Trajectory, y0) -> VeSolution:
-    """Integrate dy/dt = A(phi(t)) y along the orbit (DOP853, rtol 1e-10,
-    atol 1e-12) and measure the defect.
+    """Integrate dy/dt = A(phi(t)) y along the orbit by Taylor series of
+    order ORDER on the orbit's steps, and measure the defect.
 
-    The residual is || d/dt y_interp - A(phi) y_interp || sampled at 60
-    points of the span, using the integrator's dense output.  Every symbol
-    of the system needs a value from its jet (and lambda from system.lam).
+    The residual is max |y' - A(phi) y| / (1 + max |y|) on 60 points of the
+    span, with y and y' from the step polynomials.  Every symbol of the
+    system needs a value from its jet (and lambda from system.lam).
     """
     if system.level > 3:
         raise ValueError("variational integration is guarded to levels <= 3")
-    matrix = _compile_rhs(system)
-    t0, t1 = float(traj.t[0]), float(traj.t[-1])
-    y0 = np.asarray(y0, dtype=complex)
-    if y0.shape != (system.dim,):
+    rhs = _compile_rhs(system)
+    y = [complex(v) for v in y0]
+    if len(y) != system.dim:
         raise ValueError(f"initial condition must have dimension {system.dim}")
+    series = []
+    for start, end, (x,) in zip(traj.starts, traj.starts[1:] + traj.t[-1:], traj.series):
+        powers = {a: [x[0] ** a] for *_, a in rhs}
+        for a, power in powers.items():
+            while len(power) < len(x):
+                power.append(_miller(x, power, a))
+        c = [[v] for v in y]
+        for n in range(ORDER):
+            rate = [0j] * len(c)
+            for src, tgt, factor, a in rhs:
+                rate[src] += factor * sum(map(mul, powers[a], reversed(c[tgt])))
+            for ci, r in zip(c, rate):
+                ci.append(r / (n + 1))
+        series.append(c)
+        y = [_horner(ci, end - start)[0] for ci in c]
 
-    def rhs(t, y):
-        return matrix(traj.phi_at(t)) @ y
-
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-10, atol=1e-12,
-                    dense_output=True)
-    if not sol.success:
-        raise OrbitError(f"variational integration failed: {sol.message}")
-
-    ts = np.linspace(t0, t1, len(traj.t))
-    ys = sol.sol(ts)
-    span = t1 - t0
-    h = max(1e-7, 1e-7 * span)
-    check_ts = np.linspace(t0 + 2 * h, t1 - 2 * h, 60)
-    ycs = sol.sol(check_ts)
-    dys = (sol.sol(check_ts + h) - sol.sol(check_ts - h)) / (2 * h)
-    worst = 0.0
-    for phi, yc, dy in zip(traj.phi_at(check_ts), ycs.T, dys.T):
-        res = dy - matrix(phi) @ yc
-        worst = max(worst, float(np.max(np.abs(res)) / (1.0 + np.max(np.abs(yc)))))
-    return VeSolution(t=ts, y=ys, max_residual=worst, sol=sol)
-
-
-def normal_solution_reference(traj: Trajectory, t) -> complex:
-    """(s(t)^2 - 1)^{1/k} on the principal branch."""
-    k = traj.params.k
-    s = traj.s_at(t)
-    return complex(s * s - 1.0) ** (1.0 / k)
+    ve = VeSolution(traj.starts, series, max_residual=0.0)
+    for tc in _grid(traj.t[0], traj.t[-1], 60):
+        psi = traj._jets(tc)[0][0]
+        jets = ve._jets(tc)
+        res = [rate for _, rate in jets]
+        for src, tgt, factor, a in rhs:
+            res[src] -= factor * psi**a * jets[tgt][0]
+        ve.max_residual = max(ve.max_residual, max(map(abs, res))
+                              / (1.0 + max(abs(value) for value, _ in jets)))
+    return ve
 
 
 def pk_comparison(traj: Trajectory) -> float:
     """Integrate the level-1 normal equation (lambda = k, physical sign)
     from P_k-matched data and return the max relative deviation from
     (s^2-1)^{1/k}."""
-    p = traj.params
-    k, k0 = p.k, p.k0
-    system = build_higher_ve(None, 1, k, lam=Fraction(k), k0=k0, force_sign=-1)
-    t0 = float(traj.t[0])
+    k = traj.params.k
+    system = build_higher_ve(None, 1, k, lam=Fraction(k), k0=traj.params.k0, force_sign=-1)
+    t0, h = traj.t[0], 1e-6
 
-    def ref(t):
-        return normal_solution_reference(traj, t)
+    def ref(t):  # (s(t)^2 - 1)^{1/k} on the principal branch
+        return complex(traj.s_at(t) ** 2 - 1.0) ** (1.0 / k)
 
-    h = 1e-6
-    x0 = ref(t0)
-    dx0 = (ref(t0 + h) - ref(t0 - h)) / (2 * h)
     # index order: (0,0,0,1)=X2, (0,0,1,0)=X1, (0,1,0,0)=dX2, (1,0,0,0)=dX1
-    y0 = np.zeros(4, dtype=complex)
-    y0[system.position((0, 0, 0, 1))] = x0
-    y0[system.position((0, 1, 0, 0))] = dx0
+    y0 = [0j] * 4
+    y0[system.position((0, 0, 0, 1))] = ref(t0)
+    y0[system.position((0, 1, 0, 0))] = (ref(t0 + h) - ref(t0 - h)) / (2 * h)
     ve = integrate_ve(system, traj, y0)
-    ts = np.linspace(t0, float(traj.t[-1]), 80)
-    dev = 0.0
-    for s, got in zip(traj.s_at(ts), ve.at(ts)[system.position((0, 0, 0, 1))]):
-        # normal_solution_reference's value at s: Python's complex power,
-        # not numpy's, so each value is the one a scalar call gives
-        expect = complex(s * s - 1.0) ** (1.0 / k)
-        dev = max(dev, abs(got - expect) / max(1.0, abs(expect)))
-    return dev
+    pos = system.position((0, 0, 0, 1))
+    ts = _grid(t0, traj.t[-1], 80)
+    return max(abs(ve.at(t)[pos] - r) / max(1.0, abs(r)) for t, r in zip(ts, map(ref, ts)))
 
 
 # -- shipped scenarios -------------------------------------------------------
@@ -291,7 +293,7 @@ def run_scenario(cfg: dict) -> dict:
         "name": cfg.get("name", f"k={p.k},k0={p.k0}"),
         "k": p.k,
         "k0": p.k0,
-        "t_end": float(traj.t[-1]),
+        "t_end": traj.t[-1],
         "max_drift": traj.max_drift,
         "time_change_defect": time_change_check(traj),
     }
@@ -306,8 +308,8 @@ def run_scenario(cfg: dict) -> dict:
         lam = Fraction(cfg["lambda"]) if "lambda" in cfg else None
         system = build_higher_ve(jet, int(level), p.k, lam=lam, k0=p.k0,
                                  force_sign=-1)
-        rng = np.random.default_rng(7)
-        y0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+        rng = random.Random(7)
+        y0 = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(system.dim)]
         ve = integrate_ve(system, traj, y0)
         out["ve_level"] = int(level)
         out["ve_residual"] = ve.max_residual

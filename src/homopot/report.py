@@ -260,6 +260,7 @@ def _analyze_file(path: Path, k5_variant: str):
 def batch(directory, k5_variant: str = K5_PRINTED) -> BatchResult:
     """Analyze every potential file in a directory, in filename order, one
     after another."""
+    check_k5_variant(k5_variant)
     base = Path(directory)
     if not base.is_dir():
         raise NotADirectoryError(str(base))

@@ -121,16 +121,16 @@ def test_analyze_finishes_in_bounded_time(text, outcome):
 
 
 def test_analyze_does_not_import_numpy():
-    # numpy and scipy serve orbit integration only, which imports them
-    # lazily; analyze and the period quadrature stay pure Python
+    # no third-party package, and import homopot and analyze leave orbit
+    # integration unloaded, as the set-up time of every analyze run assumes
     env = dict(os.environ, PYTHONPATH=str(Path(homopot.__file__).parents[1]))
     code = ('import sys, homopot; from fractions import Fraction; '
             'homopot.analyze("q1^2*q2"); '
             'homopot.period_quadrature(homopot.LoopSpec(2), Fraction(1, 3)); '
-            'print("numpy" in sys.modules)')
+            'print("numpy" in sys.modules, "homopot.orbit" in sys.modules)')
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           check=True, timeout=30, capture_output=True, text=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("text, lam", [
@@ -411,6 +411,13 @@ def test_analyze_refuses_an_unknown_k5_variant_before_parsing(source):
     with pytest.raises(ValueError, match="unknown k5 variant 'nonsense'") as info:
         analyze(source, k5_variant="nonsense")
     assert not isinstance(info.value, ParseError)
+
+
+@pytest.mark.parametrize("directory", ["empty", DATA / "corpus"], ids=["empty", "corpus"])
+def test_batch_refuses_an_unknown_k5_variant_before_listing(directory, tmp_path):
+    # at once, not as one error row per file, and also with no file to analyze
+    with pytest.raises(ValueError, match="unknown k5 variant 'nonsense'"):
+        batch(tmp_path if directory == "empty" else directory, "nonsense")
 
 
 def test_cli_monodromy_period(capsys):
