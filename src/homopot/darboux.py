@@ -40,8 +40,8 @@ from typing import Optional
 from .polar import critical_points, eigenvalue_at, value_at
 from .potential import (POLYNOMIAL, Potential, PotentialError, TrigPoly, jet_at, transform,
                         rotation_to_axis)
-from .scalars import (GaussianRational, is_exact, is_finite, principal_root, scalar_is_zero,
-                      to_complex)
+from .scalars import (GaussianRational, is_exact, is_finite, point_text, principal_root,
+                      scalar_is_zero, to_complex)
 from .upoly import UPoly, roots
 
 RESIDUAL_TOL = 1e-10
@@ -92,9 +92,7 @@ class DarbouxPoint:
 
 
 def _scalar_json(v):
-    if isinstance(v, GaussianRational):
-        return str(v) if v.im != 0 else str(v.re)
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (GaussianRational, int, Fraction)):
         return str(v)
     z = complex(v)
     if z.imag == 0:
@@ -166,7 +164,7 @@ def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -
     if residual:
         scale = max(1.0, abs(k) * max(abs(to_complex(c[0])), abs(to_complex(c[1]))))
         if residual > RESIDUAL_TOL * scale:
-            raise DarbouxError(f"{c} is not a Darboux point (residual {residual:.2e})")
+            raise DarbouxError(f"{point_text(c)} is not a Darboux point (residual {residual:.2e})")
     kk1 = k * (k - 1)
     spectrum = (GaussianRational(kk1) if isinstance(lam, GaussianRational) else complex(kk1), lam)
     return DarbouxPoint(c=c, spectrum=spectrum, multiple=multiple, isotropic=iso,
@@ -207,7 +205,7 @@ def classify(V: Potential, c) -> DarbouxPoint:
     det = (h11 - k) * (h22 - k) - h12 * h12
     if jet.exact:
         if not (r1.is_zero() and r2.is_zero()):
-            raise DarbouxError(f"{c} is not a Darboux point: grad V(c) != kc")
+            raise DarbouxError(f"{point_text(c)} is not a Darboux point: grad V(c) != kc")
         residual, multiple = 0.0, det.is_zero()
     else:
         residual = max(abs(r1), abs(r2))

@@ -244,15 +244,19 @@ def pk_comparison(traj: Trajectory) -> float:
     (s^2-1)^{1/k}."""
     k = traj.params.k
     system = build_higher_ve(None, 1, k, lam=Fraction(k), k0=traj.params.k0, force_sign=-1)
-    t0, h = traj.t[0], 1e-6
+    t0 = traj.t[0]
 
     def ref(t):  # (s(t)^2 - 1)^{1/k} on the principal branch
         return complex(traj.s_at(t) ** 2 - 1.0) ** (1.0 / k)
 
+    # its derivative (2/k) s sdot (s^2 - 1)^{1/k - 1}, with sdot = psi''/sqrt2
+    # and psi'' = -k psi^(k-1)
+    (psi, psidot), = traj._jets(t0)
+    s, sdot = psidot / SQRT2, -k * psi ** (k - 1) / SQRT2
     # index order: (0,0,0,1)=X2, (0,0,1,0)=X1, (0,1,0,0)=dX2, (1,0,0,0)=dX1
     y0 = [0j] * 4
     y0[system.position((0, 0, 0, 1))] = ref(t0)
-    y0[system.position((0, 1, 0, 0))] = (ref(t0 + h) - ref(t0 - h)) / (2 * h)
+    y0[system.position((0, 1, 0, 0))] = 2 / k * s * sdot * complex(s * s - 1.0) ** (1.0 / k - 1)
     ve = integrate_ve(system, traj, y0)
     pos = system.position((0, 0, 0, 1))
     ts = _grid(t0, traj.t[-1], 80)

@@ -253,7 +253,7 @@ class _Parser:
     def atom(self) -> _RatFunc:
         kind, val, pos = self.next()
         if kind == "number":
-            return _RatFunc({(0, 0): GaussianRational(Fraction(_number(val, pos)))})
+            return _RatFunc({(0, 0): GaussianRational.coerce(_number(val, pos))})
         if kind == "name" and val in self.g.symbols:
             return self.g.symbols[val]
         if kind == "name" and val in ("cos", "sin") and self.g.polar:
@@ -279,8 +279,8 @@ class _Parser:
         self.g = grammar
         if set(f.num) <= {(1, 0)} and set(f.den) == {(0, 0)}:
             m = f.num.get((1, 0), GaussianRational(0)) / f.den[(0, 0)]
-            if m.im == 0 and m.re.denominator == 1:
-                return int(m.re)
+            if m.is_real() and m.d == 1:
+                return m.a
         raise ParseError(_TRIG_ARG.refusal, pos)
 
 
@@ -356,8 +356,8 @@ def parse_trig_poly(text: str) -> TrigPoly:
 
 def _coef_text(v: GaussianRational) -> tuple[str, bool]:
     """(text, needs_sign_merge); complex coefficients come parenthesized."""
-    if v.im == 0:
-        return str(v.re), True
+    if v.is_real():
+        return str(v), True
     return f"({v})", False
 
 

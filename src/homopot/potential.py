@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import (GaussianRational, is_exact, is_finite, power, scalar, scalar_is_zero,
-                      to_complex)
+from .scalars import (GaussianRational, is_exact, is_finite, point_text, power, scalar,
+                      scalar_is_zero, to_complex)
 from .series import Jet2, TaylorJet
 from .upoly import UPoly
 
@@ -368,7 +368,7 @@ def jet_at(V: Potential, c, L: int) -> TaylorJet:
             if V.den != _UNIT:  # a polynomial's jet is taken without a division
                 den = V.den.jet(c, order)
                 if scalar_is_zero(den.const_term, 1e-14):
-                    raise SingularPointError(f"denominator vanishes at {c}")
+                    raise SingularPointError(f"denominator vanishes at {point_text(c)}")
                 series = series / den
     except OverflowError as exc:
         raise PotentialError(f"jet beyond double range: {exc}") from exc
@@ -481,8 +481,8 @@ def euler_defect(V: Potential, point):
 
 def _gauss_to_json(v):
     if isinstance(v, GaussianRational):
-        if v.im == 0:
-            return str(v.re)
+        if v.is_real():
+            return str(v)
         return {"re": str(v.re), "im": str(v.im)}
     return {"re_float": complex(v).real, "im_float": complex(v).imag}
 

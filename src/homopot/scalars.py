@@ -6,7 +6,9 @@ membership, multiplicity tests) is built on these.  A scalar is either a
 only record of exactness: a value is exact iff it is a GaussianRational.
 The two support the same arithmetic, and mixing them gives a complex, so
 generic code stays agnostic; `scalar` brings any number into the domain
-and `is_exact` asks whether values are all exact.
+and `is_exact` asks whether values are all exact.  A GaussianRational is
+one Gaussian integer over one positive denominator in lowest terms, so its
+arithmetic is integer arithmetic with at most one gcd per result.
 
 `principal_root` is the one m-th root of a scalar: exact when it lies in
 Q(i), else the principal complex root.  `power` is the one binary
@@ -19,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 Q = Fraction  # short alias used heavily in table data and tests
 
@@ -66,17 +68,27 @@ def rational_sqrt(x: Fraction):
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number (a + b i)/d with exact rational real and imaginary parts.
 
-    Invariants come free from fractions.Fraction: reduced form, positive
-    denominator, arbitrary-precision integers, no rounding ever.
+    a, b and d are Python ints kept canonical: d > 0 and gcd(a, b, d) = 1,
+    so equal values have equal triples and == compares three ints.  An
+    operation restores that with one gcd, or none when both denominators
+    are 1; a product of two reals cross-cancels as Fraction does.  `re` and
+    `im` read the parts as reduced Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # d = lcm of the reduced denominators leaves gcd(a, b, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
     # -- constructors -------------------------------------------------
 
@@ -84,66 +96,110 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _gr(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _gr(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+    @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b i)/d for ints a, b and d > 0."""
+        g = gcd(a, b, d)
+        return _gr(a // g, b // g, d // g)
+
+    # -- parts ---------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not (self.a or self.b)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     # -- arithmetic ----------------------------------------------------
-    # An operand that is already a GaussianRational skips `coerce`, and a
-    # real factor or divisor costs two Fraction operations, not four.
+    # A complex operand makes the result a complex; any other operand that
+    # is not already a GaussianRational goes through `coerce`.
 
     def __add__(self, other):
-        if isinstance(other, complex):
-            return complex(self) + other
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, complex):
+                return complex(self) + other
+            other = GaussianRational.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        # over a denominator of 1 the sum stays canonical: gcd(a, b, d) is unchanged
+        if od == 1:
+            return _gr(a + oa * d, b + ob * d, d)
+        if d == 1:
+            return _gr(a * od + oa, b * od + ob, od)
+        if d == od:
+            a, b = a + oa, b + ob
+        else:
+            a, b, d = a * od + oa * d, b * od + ob * d, d * od
+        return GaussianRational.from_ints(a, b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, complex):
-            return complex(self) - other
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, complex):
+                return complex(self) - other
+            other = GaussianRational.coerce(other)
+        return self + _gr(-other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, complex):
-            return complex(self) * other
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        if not o.im:
-            return GaussianRational(self.re * o.re, self.im * o.re)
-        if not self.im:
-            return GaussianRational(self.re * o.re, self.re * o.im)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if type(other) is not GaussianRational:
+            if isinstance(other, complex):
+                return complex(self) * other
+            other = GaussianRational.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        if not (b or ob) and d * od != 1:  # real times real: cross-cancel as Fraction does
+            g1, g2 = gcd(a, od), gcd(oa, d)
+            return _gr((a // g1) * (oa // g2), 0, (d // g2) * (od // g1))
+        if not ob:
+            a, b = a * oa, b * oa
+        elif not b:
+            a, b = a * oa, a * ob
+        else:
+            a, b = a * oa - b * ob, a * ob + b * oa
+        d *= od
+        return GaussianRational.from_ints(a, b, d) if d != 1 else _gr(a, b, 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, complex):
-            return complex(self) / other
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        if not o.im:
-            if not o.re:
+        if type(other) is not GaussianRational:
+            if isinstance(other, complex):
+                return complex(self) / other
+            other = GaussianRational.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        if not ob:  # (a + b i)/d / (oa/od) = (a + b i) od / (d oa)
+            if not oa:
                 raise ZeroDivisionError("division by zero GaussianRational")
-            return GaussianRational(self.re / o.re, self.im / o.re)
-        n2 = o.re * o.re + o.im * o.im
-        return GaussianRational((self.re * o.re + self.im * o.im) / n2,
-                                (self.im * o.re - self.re * o.im) / n2)
+            if oa < 0:
+                oa, od = -oa, -od
+            a, b, d = a * od, b * od, d * oa
+        else:  # times the conjugate over the norm oa^2 + ob^2 > 0
+            a, b, d = (a * oa + b * ob) * od, (b * oa - a * ob) * od, d * (oa * oa + ob * ob)
+        return GaussianRational.from_ints(a, b, d)
 
     def __rtruediv__(self, other):
         if isinstance(other, complex):
@@ -154,38 +210,42 @@ class GaussianRational:
         if not isinstance(n, int):
             raise TypeError("GaussianRational powers must be integers")
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        if not self.im:  # one Fraction power
-            return GaussianRational(self.re ** n)
-        return power(self, n, GaussianRational(1))
+            return _gr(1, 0, 1) / self ** (-n)
+        a, b, d = self.a, self.b, self.d
+        if not b:  # gcd(a, d) = 1 gives gcd(a^n, d^n) = 1
+            return _gr(a ** n, 0, d ** n)
+        z = power(_gr(a, b, 1), n, _gr(1, 0, 1))  # Gaussian integers: no gcd
+        return GaussianRational.from_ints(z.a, z.b, d ** n)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- conversions / protocol --------------------------------------
 
     def __complex__(self):
-        re, im = self.re, self.im  # int / int rounds once, as float(Fraction) does
-        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
+        d = self.d  # int / int rounds the exact quotient once, reduced or not
+        return complex(self.a / d, self.b / d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.d == other.denominator and self.a == other.numerator
         if isinstance(other, complex):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -196,12 +256,13 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
     def sqrt_exact(self):
         """Exact square root when one exists in Q(i), else None.
@@ -211,24 +272,35 @@ class GaussianRational:
         """
         if self.is_zero():
             return GaussianRational(0)
-        if self.im == 0:
-            r = rational_sqrt(self.re)
+        re = self.re
+        if not self.b:
+            r = rational_sqrt(re)
             if r is not None:
                 return GaussianRational(r)
-            r = rational_sqrt(-self.re)
+            r = rational_sqrt(-re)
             if r is not None:
                 return GaussianRational(0, r)  # principal root of a negative rational
             return None
         mod = rational_sqrt(self.norm2())
         if mod is None:
             return None
-        x = rational_sqrt((mod + self.re) / 2)
-        y = rational_sqrt((mod - self.re) / 2)
+        x = rational_sqrt((mod + re) / 2)
+        y = rational_sqrt((mod - re) / 2)
         if x is None or y is None:
             return None
-        if self.im < 0:
+        if self.b < 0:
             y = -y
         return GaussianRational(x, y)
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d from a canonical triple: d > 0 and gcd(a, b, d) = 1."""
+    z = _new(GaussianRational)
+    z.a, z.b, z.d = a, b, d
+    return z
 
 
 def gr(re=0, im=0) -> GaussianRational:
@@ -261,6 +333,18 @@ def is_finite(values) -> bool:
 
 def to_complex(x) -> complex:
     return complex(x)
+
+
+def point_text(c) -> str:
+    """The point c for a message, as (1, 0) or (1/2, 1+3/4*i): an exact
+    coordinate as `str` prints it, a float one as its real part when that
+    is all there is, else as re+im*i."""
+    def coordinate(x):
+        if isinstance(x, GaussianRational):
+            return str(x)
+        z = complex(x)
+        return repr(z.real) if not z.imag else f"{z.real!r}{z.imag:+}*i"
+    return f"({', '.join(map(coordinate, c))})"
 
 
 def scalar_is_zero(x, tol: float = 0.0) -> bool:

@@ -7,10 +7,12 @@ coefficients to complex once per polynomial, not once per call.
 ``roots`` takes one path.  Yun's square-free decomposition splits p
 exactly into factors f_m whose roots have multiplicity m; a p whose image
 mod the prime P = 2^61 - 31 is coprime to its derivative is certified
-square-free there and skips Yun.  Aberth-Ehrlich
+square-free there and skips Yun.  That image takes each coefficient
+(a + b i)/d to (a + I b)/d in F_P, with I^2 = -1 there.  Aberth-Ehrlich
 iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
-is u/q with q dividing the leading coefficient L of f_m scaled to
-Gaussian integers, so each float root z has the candidate round(L*z)/L
+is u/q with q dividing L, the lcm of the denominators d of the monic
+f_m's coefficients: L f_m has Gaussian-integer coefficients and leading
+coefficient L.  So each float root z has the candidate round(L*z)/L
 and, should L*z be too far off for that, the continued-fraction
 convergents of its parts whose denominators divide L.  A candidate
 becomes the exact root when f_m vanishes there exactly; otherwise z
@@ -250,12 +252,11 @@ I_MOD_P = 583529827753931384  # I_MOD_P^2 = -1 mod P
 
 
 def _mod_p(c: GaussianRational):
-    """The image of c in F_P under i -> I_MOD_P, or None when P divides a
-    denominator of c."""
-    if c.re.denominator % P == 0 or c.im.denominator % P == 0:
+    """The image (a + I_MOD_P b)/d of c = (a + b i)/d in F_P, or None when
+    P divides d, that is, a denominator of c's parts."""
+    if c.d % P == 0:
         return None
-    return (c.re.numerator * pow(c.re.denominator, -1, P)
-            + I_MOD_P * c.im.numerator * pow(c.im.denominator, -1, P)) % P
+    return (c.a + I_MOD_P * c.b) * pow(c.d, -1, P) % P
 
 
 def _rem_mod_p(a: list, b: list) -> list:
@@ -305,10 +306,12 @@ def _scaled_aberth_roots(f: UPoly):
     """
     n = f.degree
     e = max((-(-_log2(c) // (n - j)) for j, c in enumerate(f.coeffs[:-1]) if c), default=0)
-    two = Fraction(2)
-    g = [c * two ** (e * (j - n)) for j, c in enumerate(f.coeffs)]
-    return [complex(ldexp(t.real, e), ldexp(t.imag, e))
-            for t in aberth_roots([to_complex(c) for c in g])]
+    g = []
+    for j, c in enumerate(f.coeffs):  # c 2^s = (a + b i)/d, each part rounded once
+        s = e * (j - n)
+        a, b, d = (c.a << s, c.b << s, c.d) if s >= 0 else (c.a, c.b, c.d << -s)
+        g.append(complex(a / d, b / d))
+    return [complex(ldexp(t.real, e), ldexp(t.imag, e)) for t in aberth_roots(g)]
 
 
 def _unpaired_onto(zs, flip, onto):
@@ -402,7 +405,7 @@ def _exact_candidate(f: UPoly, lead: int, f_mod_p, z: complex):
                 acc = (acc * x + c) % P
             if acc:
                 continue
-        cand = GaussianRational(Fraction(re, den), Fraction(im, den))
+        cand = GaussianRational.from_ints(re, im, den)
         if f(cand).is_zero():
             return cand
     return None
@@ -414,7 +417,7 @@ def roots(p: UPoly):
         raise ValueError("zero polynomial has every point as a root")
     result = []
     for f, m in square_free_factors(p):
-        lead = lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
+        lead = lcm(*(c.d for c in f.coeffs))
         real = all(c.is_real() for c in f.coeffs)
         zs = _real_factor_roots(f) if real else _scaled_aberth_roots(f)
         f_mod_p = [_mod_p(c) for c in f.coeffs]

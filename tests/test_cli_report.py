@@ -294,6 +294,14 @@ def test_cli_analyze_error_exit(capsys):
     assert "non-homogeneous" in err
 
 
+def test_cli_error_prints_the_point_as_numbers(capsys):
+    # U(0) = -1 < 0 at the critical direction theta = 0: the normalized
+    # point fails its check, and the message shows it as (1, 0)
+    code, out, err = run_cli(capsys, "ve-build", "r^3*(-2 + cos(2*theta))", "--level", "1")
+    assert code == 1 and out == ""
+    assert err == "error: (1, 0) is not a Darboux point: grad V(c) != kc\n"
+
+
 def test_cli_json_beyond_the_int_digit_limit_is_an_error(capsys):
     # the report exists, but 2^20000 has more decimal digits than Python's
     # int-to-str limit lets the JSON writer print: a typed error, no traceback

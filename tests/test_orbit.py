@@ -88,6 +88,15 @@ def test_pk_match():
     assert O.pk_comparison(traj) < 1e-6
 
 
+def test_pk_deviation_of_the_shipped_scenarios():
+    # the initial derivative of (s^2 - 1)^{1/k} is taken exactly; a central
+    # difference with h = 1e-6 left deviations of 1.3e-11 to 5.1e-11
+    results = [O.run_scenario(cfg) for cfg in O.load_scenarios()]
+    assert len(results) == 3
+    for res in results:
+        assert res["pk_deviation"] < 1e-12, res
+
+
 def test_tangential_solution_is_phidot():
     # time-translation symmetry: X1 = phidot solves the tangential block
     traj = O.integrate_orbit(O.OrbitParams(k=-3, phi0=2.0, t_span=(0.0, 3.0)))
