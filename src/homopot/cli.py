@@ -18,7 +18,7 @@ from .monodromy import LoopSpec, g_verdict, period_closed_form, period_quadratur
 from .parse import parse_potential, parse_trig_poly
 from .potential import PotentialError, jet_at
 from .report import analyze, batch, polar_summary, report_json_text
-from .scalars import GaussianRational, parse_rational
+from .scalars import GaussianRational, parse_rational, point_text
 from .varequ import build_higher_ve
 
 
@@ -82,14 +82,13 @@ def cmd_darboux(args) -> int:
     if args.json:
         _dump(dset.to_json())
     else:
-        from .report import _fmt_point
         if dset.continuum:
             print("continuum of Darboux points; representative:")
         for p in dset.points:
-            print(f"  c = {_fmt_point(p.c)}  spectrum = {_fmt_point(p.spectrum)}"
+            print(f"  c = {point_text(p.c)}  spectrum = {point_text(p.spectrum)}"
                   f"  multiple = {p.multiple}  isotropic = {p.isotropic}")
         for d in dset.degenerate_directions:
-            print(f"  degenerate direction: {_fmt_point(d)}")
+            print(f"  degenerate direction: {point_text(d)}")
     return 0
 
 

@@ -13,6 +13,10 @@ point is multiple (lambda = k) exactly when m >= 2, unless s^2 = -1
 (isotropic).  The direction (0, 1) is the root t = 0 of -t^n W(1/t),
 n = deg P + deg Q, of multiplicity n - deg W, with
 lambda = k + k W_(n-1)/(g2)_(n-1).  W == 0 means V is rotation-invariant.
+A root that W shares with q = Q(1, s) is a pole direction, not a Darboux
+one (a factor of q of multiplicity e divides W to the power e - 1): every
+such root is divided out of W exactly before `roots` runs, while W and W'
+themselves still give lambda and the direction (0, 1).
 
 For the polar kind V = r^k U(theta), grad V(d) = k U d + U' d_perp on
 the unit direction d = (Re z, Im z), z = e^{i theta}.  The Darboux
@@ -40,9 +44,9 @@ from typing import Optional
 from .polar import critical_points, eigenvalue_at, value_at
 from .potential import (POLYNOMIAL, Potential, PotentialError, TrigPoly, jet_at, transform,
                         rotation_to_axis)
-from .scalars import (GaussianRational, is_exact, is_finite, point_text, principal_root,
-                      scalar_is_zero, to_complex)
-from .upoly import UPoly, roots
+from .scalars import (GaussianRational, is_exact, is_finite, is_real, point_text, principal_root,
+                      scalar_is_zero)
+from .upoly import UPoly, coprime_mod_p, roots
 
 RESIDUAL_TOL = 1e-10
 MULTIPLE_DET_TOL = 1e-9  # float c in `classify` only
@@ -70,11 +74,11 @@ class DarbouxPoint:
 
     @property
     def lambda_cap(self):
-        """Lambda(c): lambda when it is real, else -inf."""
+        """Lambda(c): lambda when `scalars.is_real` calls it real, else -inf."""
         lam = self.spectrum[1]
-        if isinstance(lam, GaussianRational):
-            return lam.re if lam.is_real() else float("-inf")
-        return lam.real if abs(lam.imag) < 1e-9 * max(1.0, abs(lam)) else float("-inf")
+        if not is_real(lam):
+            return float("-inf")
+        return lam.re if isinstance(lam, GaussianRational) else complex(lam).real
 
     def to_json(self) -> dict:
         lam = self.spectrum[1]
@@ -162,7 +166,7 @@ def _point(k: int, c, lam, multiple: bool, iso: bool, m: int, residual: float) -
     if not is_finite((*c, lam, residual)):
         raise DarbouxError("a Darboux point or its eigenvalue is beyond double range")
     if residual:
-        scale = max(1.0, abs(k) * max(abs(to_complex(c[0])), abs(to_complex(c[1]))))
+        scale = max(1.0, abs(k) * max(abs(complex(c[0])), abs(complex(c[1]))))
         if residual > RESIDUAL_TOL * scale:
             raise DarbouxError(f"{point_text(c)} is not a Darboux point (residual {residual:.2e})")
     kk1 = k * (k - 1)
@@ -187,7 +191,7 @@ def _point_on(k: int, d, mu, lam, m: int, multiple: bool, iso: bool = False,
         gamma = principal_root(rho, k - 2)
     except OverflowError as exc:
         raise DarbouxError(f"no scaling gamma in double range: {exc}") from exc
-    residual = 0.0 if defect is None else abs(to_complex(gamma)) ** (k - 1) * defect
+    residual = 0.0 if defect is None else abs(complex(gamma)) ** (k - 1) * defect
     return _point(k, (gamma * d[0], gamma * d[1]), lam, multiple, iso, m, residual)
 
 
@@ -228,14 +232,26 @@ def _newton_point(k: int, W: UPoly, dW: UPoly, q: UPoly, g1: UPoly, s: complex,
     S = GaussianRational(s.real, s.imag)
     dWS = dW(S)
     if not dWS.is_zero():
-        s = to_complex(S - m * W(S) / dWS)
+        s = complex(S - m * W(S) / dWS)
         S = GaussianRational(s.real, s.imag)
     qs, g = q(s), g1(s)
     if not (qs and g):
         raise DarbouxError(f"the Darboux direction (1, {s}) is beyond double precision: "
                            f"{'g1' if qs else 'q'} rounds to 0 there")
     return _point_on(k, (1.0 + 0j, s), g / (qs * qs), k - k * dW(s) / g, m, m > 1,
-                     defect=abs(to_complex(W(S))) / abs(qs) ** 2)
+                     defect=abs(complex(W(S))) / abs(qs) ** 2)
+
+
+def _off_poles(W: UPoly, q: UPoly) -> UPoly:
+    """W with every root it shares with q = Q(1, s) divided out, exactly:
+    there Q = 0, so such a root is a pole direction, not a Darboux one.  A q
+    that `coprime_mod_p` certifies coprime to W costs no exact gcd."""
+    while q.degree > 0 and not coprime_mod_p(W, q):
+        g = W.gcd(q)
+        if g.degree == 0:
+            break
+        W = W // g
+    return W
 
 
 def _radial_coefficient(V: Potential):
@@ -263,11 +279,9 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
             return _polar_darboux_points(TrigPoly(_radial_coefficient(V)), k)
         dW = W.derivative()
         points, degenerate = [], []
-        for r in roots(W):
+        for r in roots(_off_poles(W, q)):
             s, m = r.value, r.multiplicity
             qs = q(s)
-            if scalar_is_zero(qs, 1e-14):
-                continue  # on the denominator's zero set: not a direction
             d = (_ONE if r.exact else 1.0 + 0j, s)
             mu = g1(s) / (qs * qs)
             if scalar_is_zero(mu, 1e-12):
@@ -293,7 +307,7 @@ def find_darboux_points(V: Potential) -> DarbouxSet:
                 lam = k + k * _coeff(W, n - 1) / top
                 points.append(_point_on(k, (_ZERO, _ONE), top / (q0 * q0), lam, m, m > 1))
         points.sort(key=_point_sort_key)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # a float q(s) or g1(s) rounds to 0
         raise DarbouxError(f"a Darboux direction is beyond double precision: {exc}") from exc
     return DarbouxSet(points=points, continuum=False, degenerate_directions=degenerate)
 
@@ -322,7 +336,7 @@ def _polar_darboux_points(U: TrigPoly, k: int) -> DarbouxSet:
 
 
 def _point_sort_key(p: DarbouxPoint):
-    z0, z1 = to_complex(p.c[0]), to_complex(p.c[1])
+    z0, z1 = complex(p.c[0]), complex(p.c[1])
     return (round(z0.real, 10), round(z0.imag, 10), round(z1.real, 10), round(z1.imag, 10))
 
 

@@ -29,7 +29,7 @@ from functools import cache, cached_property
 from math import isfinite, isqrt
 from typing import Optional
 
-from .scalars import GaussianRational, rational_sqrt
+from .scalars import GaussianRational, is_real, rational_sqrt
 
 Q = Fraction
 
@@ -221,7 +221,7 @@ def eigenvalue_verdict(k: int, lam, k5_variant: str = K5_PRINTED) -> PointVerdic
     For |k| = 2 the all-of-C row admits a float or non-real lam as it is,
     never rounded; a non-real lam is not reported."""
     z = None if isinstance(lam, GaussianRational) else complex(lam)
-    real = lam.is_real() if z is None else abs(z.imag) <= 1e-8 * max(1.0, abs(z))
+    real = is_real(lam)
     if abs(k) == 2 and (z is not None or not real):
         return PointVerdict(ST_ADMISSIBLE, lam=z.real if real else None,
                             reason=f"the k={k} row admits all of C")

@@ -9,9 +9,10 @@ integral
 (energy normalized so V(c) = 1, i.e. alpha = -k in the orbit equation).
 With s = k0 phidot phi^{k0-1} / sqrt2 this gives s^2 = 1 - phi^{k0 k},
 the time change under which the first variational equation becomes the
-hypergeometric-type equation with solutions (s^2-1)^{1/k}.  Integration
-in physical time uses the Hamiltonian sign (force_sign = -1 in the
-variational builder).
+hypergeometric-type equation with solutions (s^2-1)^{1/k}.  That identity
+is the first integral rewritten, so `Trajectory.max_drift` measures it.
+Integration in physical time uses the Hamiltonian sign (force_sign = -1 in
+the variational builder).
 
 Both are integrated by Taylor series on the same steps, in psi = phi^{k0}:
 psi'' = -k psi^{k-1} for every weight, s = psidot/sqrt2, and an entry
@@ -162,13 +163,6 @@ def integrate_orbit(p: OrbitParams) -> Trajectory:
     return Trajectory(starts, series, p, _grid(t0, t1, 400))
 
 
-def time_change_check(traj: Trajectory) -> float:
-    """max |s^2 - 1 + phi^{k0 k}| with s = k0 phidot phi^{k0-1}/sqrt2."""
-    k, k0 = traj.params.k, traj.params.k0
-    return max(abs((k0 * pd * ph ** (k0 - 1) / SQRT2) ** 2 - 1.0 + ph ** (k0 * k))
-               for ph, pd in zip(traj.phi, traj.phidot))
-
-
 # -- variational systems along the orbit ------------------------------------
 
 
@@ -299,7 +293,6 @@ def run_scenario(cfg: dict) -> dict:
         "k0": p.k0,
         "t_end": traj.t[-1],
         "max_drift": traj.max_drift,
-        "time_change_defect": time_change_check(traj),
     }
     if cfg.get("pk_check", False):
         out["pk_deviation"] = pk_comparison(traj)

@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .potential import PotentialError, TrigPoly
-from .scalars import GaussianRational, is_exact, to_complex
+from .scalars import GaussianRational, is_exact
 from .upoly import roots
 
 CRITICAL_RESIDUAL_TOL = 1e-10
@@ -65,7 +65,7 @@ def critical_points(U: TrigPoly) -> list:
             continue
         if not root.exact:
             z = z / abs(z)
-        theta = cmath.phase(to_complex(z)) % (2 * math.pi)
+        theta = cmath.phase(complex(z)) % (2 * math.pi)
         if not root.exact and abs(dU.evaluate(theta)) > CRITICAL_RESIDUAL_TOL * dU.norm1():
             raise PolarError(f"critical point residual too large at theta={theta}")
         out.append(CriticalPoint(theta, z, root.multiplicity))
@@ -99,7 +99,7 @@ def select_extremum(U: TrigPoly) -> CriticalPoint:
     rest = TrigPoly._laurent({j: v for j, v in U.coeffs.items() if j})
     values = [rest.evaluate(p.theta) for p in crits]
     wmax, wmin = max(values), min(values)
-    c0 = to_complex(U.const).real
+    c0 = complex(U.const).real
     vmax, vmin = c0 + wmax, c0 + wmin
     tol = 1e-12 * max(abs(vmax), abs(vmin))  # relative: the rule ignores the scale of U
     # max U >= min U >= 0 or max U > 0 > min U: the maximum; 0 >= max U: the minimum

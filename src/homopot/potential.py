@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import (GaussianRational, is_exact, is_finite, point_text, power, scalar,
-                      scalar_is_zero, to_complex)
+                      scalar_is_zero)
 from .series import Jet2, TaylorJet
 from .upoly import UPoly
 
@@ -407,7 +407,7 @@ def _polar_series(U: TrigPoly, k: int, c, order: int) -> Jet2:
 
 def orthogonality_defect(R) -> float:
     """max |(R^T R - I)_{ab}| as a float, exact zeros included."""
-    entries = [[to_complex(e) for e in row] for row in R]
+    entries = [[complex(e) for e in row] for row in R]
     (a, b), (c, d) = entries
     g11 = a * a + c * c - 1
     g12 = a * b + c * d
@@ -479,19 +479,15 @@ def euler_defect(V: Potential, point):
 # -- JSON serialization --------------------------------------------------
 
 
-def _gauss_to_json(v):
-    if isinstance(v, GaussianRational):
-        if v.is_real():
-            return str(v)
-        return {"re": str(v.re), "im": str(v.im)}
-    return {"re_float": complex(v).real, "im_float": complex(v).imag}
+def _gauss_to_json(v: GaussianRational):
+    if v.is_real():
+        return str(v)
+    return {"re": str(v.re), "im": str(v.im)}
 
 
 def _gauss_from_json(obj):
     if isinstance(obj, str):
         return GaussianRational(Fraction(obj))
-    if "re_float" in obj:
-        return complex(obj["re_float"], obj["im_float"])
     return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
 
 
@@ -526,6 +522,8 @@ def _trig_from_json(obj) -> TrigPoly:
 
 
 def potential_to_json(V: Potential) -> dict:
+    if not V.exact:
+        raise PotentialError("the JSON form requires exact coefficients")
     out = {"kind": V.kind, "degree": V.degree}
     if V.kind == POLYNOMIAL:
         out["terms"] = _homopoly_to_json(V.num)["terms"]

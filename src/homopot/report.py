@@ -37,7 +37,7 @@ from .parse import parse_potential
 from .polar import PolarError, select_extremum
 from .potential import (Potential, PotentialError, TrigPoly, potential_to_json,
                         potential_from_json)
-from .scalars import GaussianRational, to_complex
+from .scalars import GaussianRational, point_text
 
 NON_INTEGRABLE = "non_integrable_by_morales_ramis"
 PASSES = "passes_first_order_tests"
@@ -100,7 +100,7 @@ class AnalysisReport:
                      f"multiple points: {self.n_multiple}"]
             for p, pv in zip(self.darboux.points, self.point_verdicts):
                 lam = pv.lam if pv.lam is not None else p.spectrum[1]
-                lines.append(f"  c = {_fmt_point(p.c)}  lambda = {lam}"
+                lines.append(f"  c = {point_text(p.c)}  lambda = {lam}"
                              f"  multiple = {p.multiple}  -> {pv.status}"
                              + (f" ({pv.reason})" if pv.reason else ""))
             for note in self.notes:
@@ -109,17 +109,6 @@ class AnalysisReport:
             return "\n".join(lines)
         except ValueError as exc:
             raise PotentialError(f"report has no text form: {exc}") from exc
-
-
-def _fmt_point(c) -> str:
-    def one(v):
-        if isinstance(v, GaussianRational):
-            return str(v)
-        z = complex(v)
-        if abs(z.imag) < 1e-14:
-            return f"{z.real:.12g}"
-        return f"({z.real:.12g}{z.imag:+.12g}i)"
-    return f"({one(c[0])}, {one(c[1])})"
 
 
 def analyze(source, k5_variant: str = K5_PRINTED) -> AnalysisReport:
@@ -208,7 +197,7 @@ def polar_summary(U: TrigPoly, k: int, k5_variant: str = K5_PRINTED) -> dict:
     theta0 = select_extremum(U).theta
 
     def off_theta0(pair):  # for k < 0, Re gamma > 0, so Re c points along the ray
-        c0, c1 = (to_complex(v).real for v in pair[0].c)
+        c0, c1 = (complex(v).real for v in pair[0].c)
         return abs((math.atan2(c1, c0) - theta0 + math.pi) % (2 * math.pi) - math.pi)
 
     p, pv = min(zip(rep.darboux.points, rep.point_verdicts), key=off_theta0)

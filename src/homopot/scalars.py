@@ -6,7 +6,8 @@ membership, multiplicity tests) is built on these.  A scalar is either a
 only record of exactness: a value is exact iff it is a GaussianRational.
 The two support the same arithmetic, and mixing them gives a complex, so
 generic code stays agnostic; `scalar` brings any number into the domain
-and `is_exact` asks whether values are all exact.  A GaussianRational is
+and `is_exact` asks whether values are all exact; `is_real` is the one
+test of realness, exact or to REAL_TOL for a float.  A GaussianRational is
 one Gaussian integer over one positive denominator in lowest terms, so its
 arithmetic is integer arithmetic with at most one gcd per result.
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 Q = Fraction  # short alias used heavily in table data and tests
+REAL_TOL = 1e-8  # a float |Im x| up to REAL_TOL max(1, |x|) is rounding: `is_real`
 
 
 def integer_nth_root(n: int, r: int):
@@ -331,19 +333,24 @@ def is_finite(values) -> bool:
     return all(isinstance(v, GaussianRational) or cmath.isfinite(v) for v in values)
 
 
-def to_complex(x) -> complex:
-    return complex(x)
+def is_real(x) -> bool:
+    """True when the scalar x is real: exactly for a GaussianRational, and
+    for a float when |Im x| <= REAL_TOL max(1, |x|)."""
+    if isinstance(x, GaussianRational):
+        return x.is_real()
+    z = complex(x)
+    return abs(z.imag) <= REAL_TOL * max(1.0, abs(z))
 
 
 def point_text(c) -> str:
-    """The point c for a message, as (1, 0) or (1/2, 1+3/4*i): an exact
-    coordinate as `str` prints it, a float one as its real part when that
-    is all there is, else as re+im*i."""
+    """The point c for reports and messages, as (1, 0) or (1/2, 1+3/4*i): an
+    exact coordinate as `str` prints it, a float one to 12 significant
+    digits, as its real part when |Im| < 1e-14, else as (re+imi)."""
     def coordinate(x):
         if isinstance(x, GaussianRational):
             return str(x)
         z = complex(x)
-        return repr(z.real) if not z.imag else f"{z.real!r}{z.imag:+}*i"
+        return f"{z.real:.12g}" if abs(z.imag) < 1e-14 else f"({z.real:.12g}{z.imag:+.12g}i)"
     return f"({', '.join(map(coordinate, c))})"
 
 
@@ -390,7 +397,7 @@ def principal_root(x, m: int):
             if ex is not None:
                 return GaussianRational(ex)
     try:
-        z = to_complex(x) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
+        z = complex(x) + 0j  # -0.0 + 0.0 = 0.0: the log takes arg pi, not -pi
     except OverflowError:
         z = 0j
     if z == 0:  # an exact x beyond double range: log x from its exact parts

@@ -183,13 +183,6 @@ class TaylorJet:
         return cls(base_point=tuple(base_point), order=order, degree=degree,
                    value=series.const_term, d=d)
 
-    def partial(self, a: int, b: int):
-        """Derivative d^{a+b} V / dq1^a dq2^b (c); (0,0) gives V(c)."""
-        if a == b == 0:
-            return self.value
-        i = a + b - 1
-        return self.d[i][b]
-
     def gradient(self):
         return (self.d[0][0], self.d[0][1])
 

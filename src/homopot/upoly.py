@@ -8,7 +8,8 @@ coefficients to complex once per polynomial, not once per call.
 exactly into factors f_m whose roots have multiplicity m; a p whose image
 mod the prime P = 2^61 - 31 is coprime to its derivative is certified
 square-free there and skips Yun.  That image takes each coefficient
-(a + b i)/d to (a + I b)/d in F_P, with I^2 = -1 there.  Aberth-Ehrlich
+(a + b i)/d to (a + I b)/d in F_P, with I^2 = -1 there; the same
+certificate, `coprime_mod_p`, spares `darboux` an exact gcd of W and Q(1, s).  Aberth-Ehrlich
 iteration finds the roots of each f_m in floats.  A root of f_m in Q(i)
 is u/q with q dividing L, the lcm of the denominators d of the monic
 f_m's coefficients: L f_m has Gaussian-integer coefficients and leading
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm, ldexp
 
-from .scalars import GaussianRational, to_complex
+from .scalars import GaussianRational
 
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
@@ -65,7 +66,7 @@ class UPoly:
             try:
                 cs = self._complex
             except AttributeError:
-                cs = self._complex = [to_complex(c) for c in self.coeffs]
+                cs = self._complex = [complex(c) for c in self.coeffs]
             acc = 0j
         for c in reversed(cs):
             acc = acc * x + c
@@ -144,7 +145,7 @@ class Root:
         return isinstance(self.value, GaussianRational)
 
     def as_complex(self) -> complex:
-        return to_complex(self.value)
+        return complex(self.value)
 
 
 def aberth_roots(coeffs_complex):
@@ -218,7 +219,8 @@ def square_free_factors(p: UPoly):
     """
     v = next(j for j, c in enumerate(p.coeffs) if not c.is_zero())
     rest = UPoly(p.coeffs[v:])
-    out = [(rest.monic(), 1)] if rest.degree > 0 and _square_free_mod_p(rest) else _yun(rest)
+    out = ([(rest.monic(), 1)] if rest.degree > 0 and coprime_mod_p(rest, rest.derivative())
+           else _yun(rest))
     if v:  # s^v goes back into the factor of multiplicity v
         with_s = [(UPoly([0] + f.coeffs), m) for f, m in out if m == v] or [(UPoly([0, 1]), v)]
         out = sorted([(f, m) for f, m in out if m != v] + with_s, key=lambda fm: fm[1])
@@ -243,7 +245,7 @@ def _yun(p: UPoly):
     return out
 
 
-# -- the square-free certificate mod P ----------------------------------------
+# -- the coprimality certificate mod P -----------------------------------------
 # P = 2^61 - 31 is prime and P = 1 mod 4, so i maps to a square root of -1
 # in F_P and one prime serves real and Gaussian coefficients alike.
 
@@ -274,17 +276,17 @@ def _rem_mod_p(a: list, b: list) -> list:
     return a
 
 
-def _square_free_mod_p(p: UPoly) -> bool:
-    """True when the image of p in F_P[x] keeps p's degree and is coprime
-    to its derivative.
+def coprime_mod_p(a: UPoly, b: UPoly) -> bool:
+    """True when the images of a and b in F_P[x] keep their degrees and are
+    coprime there.
 
-    Reduction mod P then maps the discriminant of p to a nonzero value,
-    so p is square-free over Q(i).  False says nothing.
+    A common factor of a and b over Q(i) would then have an image of the
+    same positive degree dividing both images, so a and b are coprime over
+    Q(i); p is square-free when p and p' are.  False says nothing.
     """
-    w = [_mod_p(c) for c in p.coeffs]
-    if None in w or not w[-1] or p.degree >= P:
+    a, b = [_mod_p(c) for c in a.coeffs], [_mod_p(c) for c in b.coeffs]
+    if None in a or None in b or not (a and a[-1] and b and b[-1]):
         return False
-    a, b = w, [j * c % P for j, c in enumerate(w)][1:]
     while b:
         a, b = b, _rem_mod_p(a, b)
     return len(a) == 1

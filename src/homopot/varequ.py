@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .scalars import GaussianRational, to_complex
+from .scalars import GaussianRational
 from .series import TaylorJet
 
 Q = Fraction
@@ -238,7 +238,7 @@ def build_higher_ve(jet: Optional[TaylorJet], l: int, k: int, lam=None,
 
     d_values = None
     if jet is not None:
-        d_values = {name: to_complex(v) for name, v in jet.d_symbol_values().items()}
+        d_values = {name: complex(v) for name, v in jet.d_symbol_values().items()}
         if lam_q is not None:
             d_values[LAMBDA_SYMBOL] = complex(float(lam_q))
     return VariationalSystem(level=l, k=k, k0=k0, lam=lam_q, force_sign=force_sign,

@@ -12,7 +12,7 @@ from homopot.darboux import classify, find_darboux_points
 from homopot.parse import parse_potential, parse_trig_poly
 from homopot.potential import Potential, TrigPoly
 from homopot.report import NON_INTEGRABLE as REPORT_NON_INTEGRABLE, analyze, polar_summary
-from homopot.scalars import GaussianRational, gr, to_complex
+from homopot.scalars import GaussianRational, gr
 
 
 def U_example():
@@ -215,7 +215,7 @@ def test_polar_points_ignore_the_scale_of_U(scale):
 
 
 def _angle(p):
-    c0, c1 = to_complex(p.c[0]), to_complex(p.c[1])
+    c0, c1 = complex(p.c[0]), complex(p.c[1])
     return math.atan2(c1.real, c0.real) % (2 * math.pi)
 
 
@@ -228,8 +228,8 @@ def test_cartesian_cross_check():
     p = next(p for p in find_darboux_points(V).points if abs(_angle(p) - th) < 1e-12)
     assert p.spectrum == (gr(k * (k - 1)), gr(Q(-37, 11))) and not p.multiple
     ref = classify(V, p.c)
-    assert abs(to_complex(ref.spectrum[0]) - k * (k - 1)) < 1e-8
-    assert abs(to_complex(ref.spectrum[1]) - float(Q(-37, 11))) < 1e-8
+    assert abs(complex(ref.spectrum[0]) - k * (k - 1)) < 1e-8
+    assert abs(complex(ref.spectrum[1]) - float(Q(-37, 11))) < 1e-8
     assert not ref.multiple
 
 
@@ -244,8 +244,8 @@ def test_cross_check_all_critical_rays():
         th = _angle(p)
         u, upp = U.evaluate(th), U.derivative().derivative().evaluate(th)
         ref = classify(V, p.c)
-        assert abs(to_complex(ref.spectrum[1]) - (upp / u - 3)) < 1e-8
-        assert abs(to_complex(ref.spectrum[1]) - to_complex(p.spectrum[1])) < 1e-8
+        assert abs(complex(ref.spectrum[1]) - (upp / u - 3)) < 1e-8
+        assert abs(complex(ref.spectrum[1]) - complex(p.spectrum[1])) < 1e-8
 
 
 def test_multiple_iff_second_derivative_zero():
@@ -267,9 +267,9 @@ def test_exact_eigenvalue_on_a_pythagorean_direction():
     V = parse_potential("r^-5*(1 + 7/25*cos(theta) + 24/25*sin(theta))")
     (p,) = find_darboux_points(V).points
     assert p.spectrum[1] == gr(Q(-11, 2)) and p.residual == 0.0
-    c0, c1 = to_complex(p.c[0]), to_complex(p.c[1])
+    c0, c1 = complex(p.c[0]), complex(p.c[1])
     assert abs(25 * c0 - 7 * abs(c0 + 1j * c1)) < 1e-12
     ref = classify(V, p.c)
-    assert abs(to_complex(ref.spectrum[1]) + 5.5) < 1e-9
+    assert abs(complex(ref.spectrum[1]) + 5.5) < 1e-9
     out = polar_summary(V.U, -5)
     assert out["lambda"] == "-11/2" and out["lambda_exact"] is True

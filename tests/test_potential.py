@@ -151,7 +151,24 @@ def test_json_roundtrip(rng):
         assert potential_from_json(potential_to_json(V)) == V
     V = parse_potential("2*r^-3")
     Vn = normalize(V, find_darboux_points(V).points[0])[0]  # a float radial coefficient
-    assert potential_from_json(potential_to_json(Vn)) == Vn
+    with pytest.raises(PotentialError, match="exact coefficients"):
+        potential_to_json(Vn)
+
+
+def test_json_form_is_exact_only():
+    # a float rotation has no JSON form, as it has no canonical text
+    t = 0.3
+    Vr = transform(parse_potential("q1^3 - 3*q1*q2^2"),
+                   ((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t))), 1)
+    assert not Vr.exact
+    for form in (potential_to_json, print_potential):
+        with pytest.raises(PotentialError, match="exact coefficients"):
+            form(Vr)
+    # a float coefficient cannot be read back either
+    obj = {"kind": "polynomial", "degree": 1,
+           "terms": {"1,0": {"re_float": 0.5, "im_float": 0.0}}}
+    with pytest.raises(PotentialError, match="malformed potential object"):
+        potential_from_json(obj)
 
 
 @pytest.mark.parametrize("text, kind", [

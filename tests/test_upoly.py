@@ -9,7 +9,7 @@ from itertools import combinations
 from hypothesis import assume, given, settings, strategies as st
 
 from homopot.scalars import GaussianRational, gr
-from homopot.upoly import (P, UPoly, _exact_candidate, _mod_p, _square_free_mod_p, _yun, roots,
+from homopot.upoly import (P, UPoly, _exact_candidate, _mod_p, _yun, coprime_mod_p, roots,
                           square_free_factors)
 
 
@@ -163,10 +163,23 @@ def test_square_free_factors_recover_planted_multiplicities(factors, v, lc):
 def test_certified_gaussian_square_free():
     # (s - (1 + 2i)) (s^2 + i s - 3/7): square-free over Q(i), certified mod P
     w = s_minus(gr(1, 2)) * UPoly([gr(Fraction(-3, 7)), gr(0, 1), gr(1)])
-    assert _square_free_mod_p(w)
+    assert coprime_mod_p(w, w.derivative())
     assert _yun(w)[0][0].coeffs == w.monic().coeffs
     assert [(f.coeffs, m) for f, m in square_free_factors(w)] == [(w.monic().coeffs, 1)]
-    assert not _square_free_mod_p(w * s_minus(gr(1, 2)))
+    w2 = w * s_minus(gr(1, 2))
+    assert not coprime_mod_p(w2, w2.derivative())
+
+
+def test_coprime_mod_p_of_two_polynomials():
+    # q0 = 9s^2 + 4s + 5 divides both; s^2 - 2s - 1 and q0 share no root
+    q0, w = UPoly([gr(5), gr(4), gr(9)]), UPoly([gr(-1), gr(-2), gr(1)])
+    assert coprime_mod_p(w, q0) and coprime_mod_p(q0, w)
+    assert not coprime_mod_p(w * q0, power(q0, 3))
+    assert coprime_mod_p(w * s_minus(gr(0, 1)), q0 * s_minus(gr(0, -1)))
+    assert not coprime_mod_p(w, UPoly([]))  # every polynomial divides 0
+    # no image mod P, or one of lower degree: no certificate either way
+    assert not coprime_mod_p(s_minus(gr(Fraction(1, P))), q0)
+    assert not coprime_mod_p(q0, UPoly([gr(1), gr(P)]))
 
 
 def test_prime_in_a_denominator_or_the_lead_skips_the_certificate():
@@ -174,7 +187,7 @@ def test_prime_in_a_denominator_or_the_lead_skips_the_certificate():
     # lower degree, s + 1, which is square-free: Yun answers for both
     for f in (s_minus(gr(Fraction(1, P))), UPoly([gr(-1), gr(P)])):
         w = power(f, 2) * s_minus(gr(-1))
-        assert not _square_free_mod_p(w)
+        assert not coprime_mod_p(w, w.derivative())
         assert [(g.coeffs, m) for g, m in square_free_factors(w)] == [
             (s_minus(gr(-1)).coeffs, 1), (f.monic().coeffs, 2)]
 
