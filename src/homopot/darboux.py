@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import count
 from typing import Optional
 
 from .polar import critical_points, eigenvalue_at, value_at
@@ -255,14 +254,11 @@ def _off_poles(W: UPoly, q: UPoly) -> UPoly:
 
 
 def _radial_coefficient(V: Potential):
-    """a with V = a (q1^2+q2^2)^(k/2) for a rotation-invariant V = P/Q:
-    p(s) / (q(s) (1+s^2)^(k/2)) at the first s = 0, 1, 2, ... with
-    q(s) != 0.  k is even, since r^k = V/a is rational."""
-    p, q, k = V.num.line, V.den.line, V.degree
-    for s in count():
-        qs = q(s)
-        if not qs.is_zero():
-            return p(s) / (qs * Fraction(1 + s * s) ** (k // 2))
+    """a with V = a (q1^2+q2^2)^(k/2) for a rotation-invariant V = P/Q, read
+    off as p(0): in lowest terms with q = Q(1, s) monic, p(s)/q(s) is
+    a (1+s^2)^(k/2) or a/(1+s^2)^(-k/2), so q(0) = 1.  k is even, since
+    r^k = V/a is rational."""
+    return V.num.line.coeffs[0]
 
 
 def find_darboux_points(V: Potential) -> DarbouxSet:

@@ -23,13 +23,13 @@ convolution of their coefficients; it may divide only by c*r^p, so its
 denominator stays 1 and U is read off the z-exponents.  A cos/sin argument
 is read in the same ring with theta as its only variable and must come out
 as m*theta, m an integer.  The unit denominator 1 is never multiplied
-in: a polynomial stays num/1 through every sum and product, and a power
-of a single term over a single term scales its exponents instead of
-multiplying.  Dividing by an expression that is identically zero is an
-error wherever it happens.  A power of a sum is refused before
-it is expanded when its expansion could have more than MAX_POWER_TERMS
-terms, which bounds the parse time; a power of a single term is never
-refused.
+in: a polynomial stays num/1 through every sum and product, dividing by
+a constant scales the numerator, and a power of a single term over a
+single term scales its exponents instead of multiplying.  Dividing by an
+expression that is identically zero is an error wherever it happens.  A
+power of a sum is refused before it is expanded when its expansion could
+have more than MAX_POWER_TERMS terms, which bounds the parse time; a
+power of a single term is never refused.
 """
 
 from __future__ import annotations
@@ -142,15 +142,18 @@ def _term_power(f: dict, n: int) -> dict:
 
 
 def _invert(f: _RatFunc, polar: bool) -> _RatFunc:
-    """1/f.  Polar input may only divide by c*r^p, so its denominator stays 1."""
+    """1/f.  A single term c, or c*r^p in polar input, goes into the
+    numerator as den/(c*r^p), so dividing by a constant keeps the unit
+    denominator.  Cartesian input swaps num and den otherwise; polar input
+    may divide by nothing else, so its denominator stays 1."""
     if not f.num:
         raise ParseError("division by zero expression")
-    if not polar:
-        return _RatFunc(f.den, f.num)
     (p, j), c = next(iter(f.num.items()))
-    if len(f.num) != 1 or j:
+    if len(f.num) == 1 and not j and (polar or not p):
+        return _RatFunc({(a - p, b): v / c for (a, b), v in f.den.items()})
+    if polar:
         raise ParseError("can only divide by a constant or a pure power of r")
-    return _RatFunc({(-p, 0): GaussianRational(1) / c})
+    return _RatFunc(f.den, f.num)
 
 
 class _Grammar(NamedTuple):
@@ -277,8 +280,8 @@ class _Parser:
         pos = self.peek()[2]
         f = self.expr()
         self.g = grammar
-        if set(f.num) <= {(1, 0)} and set(f.den) == {(0, 0)}:
-            m = f.num.get((1, 0), GaussianRational(0)) / f.den[(0, 0)]
+        if set(f.num) <= {(1, 0)} and f.den is _ONE:
+            m = f.num.get((1, 0), GaussianRational(0))
             if m.is_real() and m.d == 1:
                 return m.a
         raise ParseError(_TRIG_ARG.refusal, pos)
@@ -407,13 +410,9 @@ def _trig_text(U: TrigPoly) -> str:
 
 
 def print_potential(V: Potential) -> str:
-    """Text form that parses back to the same function.
-
-    parse_potential(print_potential(V)) == V for the polynomial, radial and
-    polar kinds.  The rational kind is not canonical: its numerator and
-    denominator may come back at another scale, e.g. parse_potential("3.5/q2")
-    prints as (7/2)/(q2), which parses to 7/(2*q2).
-    """
+    """Text form that parses back to the same function:
+    parse_potential(print_potential(V)) == V for every kind, since a
+    rational V is stored with a monic Q(1, s)."""
     if not V.exact:
         raise PotentialError("canonical text requires exact coefficients")
     if V.kind == POLYNOMIAL:

@@ -287,15 +287,18 @@ class Potential:
 
     @staticmethod
     def rational(num: HomoPoly, den: HomoPoly) -> "Potential":
-        """num/den, in lowest terms when exact; a constant den gives a polynomial."""
+        """num/den, in lowest terms when exact, with both divided by the
+        leading coefficient of den(1, s): that makes den(1, s) monic, so one
+        function has one num/den.  A constant den becomes `_UNIT`, which
+        makes a polynomial."""
         if den.is_zero():
             raise PotentialError("zero denominator")
         if num.is_zero():
             raise PotentialError("zero potential")
         if num.exact and den.exact and num.degree and den.degree:
             num, den = _lowest_terms(num, den)
-        if den.degree == 0 and den != _UNIT:
-            num, den = num.scale(1 / den.line.coeffs[0]), _UNIT
+        lead = den.line.coeffs[-1]
+        num, den = num.scale(1 / lead), den.scale(1 / lead) if den.degree else _UNIT
         return Potential(degree=num.degree - den.degree, num=num, den=den)
 
     @staticmethod

@@ -144,9 +144,6 @@ class Root:
     def exact(self) -> bool:
         return isinstance(self.value, GaussianRational)
 
-    def as_complex(self) -> complex:
-        return complex(self.value)
-
 
 def aberth_roots(coeffs_complex):
     """All roots of a complex-coefficient polynomial by Aberth-Ehrlich.
@@ -432,4 +429,5 @@ def roots(p: UPoly):
 
 
 def _sorted_roots(rs):
-    return sorted(rs, key=lambda r: (round(r.as_complex().real, 12), round(r.as_complex().imag, 12)))
+    return sorted(rs, key=lambda r: (round(complex(r.value).real, 12),
+                                     round(complex(r.value).imag, 12)))

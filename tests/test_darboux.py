@@ -348,14 +348,18 @@ def test_exact_scaling_beyond_double_range():
 
 
 @pytest.mark.parametrize("text", ["1/(q1^2+q2^2)", "3/(q1^2+q2^2)^2",
-                                  "q1/(q1^3+q1*q2^2)", "q2/(q2^3+q1^2*q2)"])
+                                  "q1/(q1^3+q1*q2^2)", "q2/(q2^3+q1^2*q2)",
+                                  "(3*q1^2+3*q2^2)/(6*(q1^2+q2^2)^3)", "7/2*(q1^2+q2^2)^3"])
 def test_rotation_invariant_quotient_is_radial(text):
-    # W == 0: V = a r^k with a = V on the unit circle, off the denominator's zeros
+    # W == 0: V = a r^k with a = V(1, 0), and c = (gamma, 0) solves
+    # grad V(c) = c, i.e. k a gamma^(k-1) = k gamma
     V = parse_potential(text)
     ds = find_darboux_points(V)
     assert ds.continuum and len(ds.points) == 1
     p = ds.points[0]
     assert p.multiple and p.spectrum[1] == gr(V.degree)
+    gamma, a, k = complex(p.c[0]), complex(V(1, 0)), V.degree
+    assert p.c[1] == 0 and abs(gamma ** (k - 2) * a - 1) < 1e-12
     assert analyze(text).verdict == RADIAL_CANDIDATE
 
 
@@ -559,7 +563,7 @@ def test_no_direction_on_the_zero_set_of_q():
         if V.kind != "rational":
             continue
         g = direction_polynomial(V).gcd(V.den.restrict_line())
-        poles = [r.as_complex() for r in roots(g)] if g.degree > 0 else []
+        poles = [complex(r.value) for r in roots(g)] if g.degree > 0 else []
         directions = [p.c for p in rep.darboux.points] + rep.darboux.degenerate_directions
         slopes = [complex(d[1]) / complex(d[0]) for d in directions if complex(d[0]) != 0]
         assert not [s for s in slopes if any(abs(s - z) <= 1e-6 for z in poles)], text

@@ -9,7 +9,8 @@ import pytest
 import sympy
 
 from homopot.darboux import find_darboux_points, normalize
-from homopot.parse import ParseError, parse_potential, parse_trig_poly, print_potential
+from homopot.parse import (_CARTESIAN, _ONE, ParseError, _Parser, parse_potential,
+                           parse_trig_poly, print_potential, tokenize)
 from homopot.potential import (HomoPoly, Potential, PotentialError,
                                SingularPointError, TrigPoly, euler_defect,
                                jet_at, potential_from_json, potential_to_json,
@@ -153,6 +154,33 @@ def test_json_roundtrip(rng):
     Vn = normalize(V, find_darboux_points(V).points[0])[0]  # a float radial coefficient
     with pytest.raises(PotentialError, match="exact coefficients"):
         potential_to_json(Vn)
+
+
+def test_one_num_den_per_function():
+    # in lowest terms with a monic Q(1, s), a common factor L*c cancels
+    # exactly and every printed or JSON form reads back to the same V
+    rng = random.Random(31)
+
+    def text(P):
+        return print_potential(Potential.polynomial(P))
+
+    for _ in range(200):
+        P, Q = (rand_homopoly(rng, rng.randint(1, 5), gaussian=rng.random() < 0.5)
+                for _ in range(2))
+        L = rand_homopoly(rng, 1, gaussian=rng.random() < 0.5)
+        c = rand_homopoly(rng, 0, gaussian=rng.random() < 0.5)
+        P, Q, L, c = map(text, (P, Q, L, c))
+        V = parse_potential(f"({P})/({Q})")
+        assert parse_potential(f"(({P})*({L})*({c}))/(({Q})*({L})*({c}))") == V
+        assert parse_potential(print_potential(V)) == V
+        assert potential_from_json(potential_to_json(V)) == V
+        assert V.den.line.coeffs[-1] == 1
+
+
+def test_division_by_a_constant_scales_the_numerator():
+    assert parse_potential("3.5/q2") == parse_potential("7/(2*q2)")
+    f = _Parser(tokenize("7/5*q1^3 - 2/3*q1*q2^2"), _CARTESIAN).parse()
+    assert f.den is _ONE
 
 
 def test_json_form_is_exact_only():
